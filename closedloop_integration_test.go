@@ -127,6 +127,23 @@ func TestClosedLoopMonitorTriggeredAdaptation(t *testing.T) {
 		t.Fatalf("final chains = %v, want the DES-128 composition", cfg)
 	}
 
+	// The data plane's blackout is on record: every receiver reset drained
+	// its link before blocking (nothing was owed to the socket when it
+	// blocked), and the time in the drain and the time each socket was
+	// held blocked were measured.
+	if got := tel.Gauge("metasocket.recv.pending_at_block").Value(); got != 0 {
+		t.Errorf("metasocket.recv.pending_at_block = %d after drained resets, want 0", got)
+	}
+	for _, name := range []string{
+		"metasocket.recv.drain.latency",
+		"metasocket.recv.blocked.latency",
+		"metasocket.send.blocked.latency",
+	} {
+		if tel.Histogram(name).Count() == 0 {
+			t.Errorf("%s recorded nothing across a five-step adaptation", name)
+		}
+	}
+
 	// The link recovers; the stream finishes on the hardened chain. Keep
 	// ticking: the latched rule must not fire a second adaptation, and
 	// must re-arm once the loss rate clears.

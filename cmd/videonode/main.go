@@ -307,7 +307,7 @@ func runClient(role, managerAddr string, duration time.Duration, tel *telemetry.
 	if err != nil {
 		return err
 	}
-	client.Socket().SetPendingFunc(recv.Pending)
+	client.Socket().AttachLink(recv)
 	client.Socket().SetTelemetry(tel)
 	if err := client.Socket().Start(recv.Recv()); err != nil {
 		return err

@@ -162,15 +162,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	beSock.SetPendingFunc(sub.InFlight)
-	beCh := make(chan []byte, 1024)
-	go func() {
-		defer close(beCh)
-		for d := range sub.Recv() {
-			beCh <- d
-		}
-	}()
-	if err := beSock.Start(beCh); err != nil {
+	beSock.AttachLink(sub)
+	if err := beSock.Start(sub.Recv()); err != nil {
 		return err
 	}
 

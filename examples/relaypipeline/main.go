@@ -129,7 +129,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	relayRecv.SetPendingFunc(relaySub.InFlight)
+	relayRecv.AttachLink(relaySub)
 	sinkSock, err := metasocket.NewRecvSocket(func(p metasocket.Packet) error {
 		delivered.Add(1)
 		return nil
@@ -137,22 +137,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sinkSock.SetPendingFunc(sinkSub.InFlight)
+	sinkSock.AttachLink(sinkSub)
 
-	pump := func(sub *netsim.Subscription, sock *metasocket.RecvSocket) error {
-		ch := make(chan []byte, 1024)
-		go func() {
-			defer close(ch)
-			for d := range sub.Recv() {
-				ch <- d
-			}
-		}()
-		return sock.Start(ch)
-	}
-	if err := pump(relaySub, relayRecv); err != nil {
+	if err := relayRecv.Start(relaySub.Recv()); err != nil {
 		return err
 	}
-	if err := pump(sinkSub, sinkSock); err != nil {
+	if err := sinkSock.Start(sinkSub.Recv()); err != nil {
 		return err
 	}
 

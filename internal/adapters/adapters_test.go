@@ -2,6 +2,7 @@ package adapters
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,15 +190,21 @@ func TestPreActionUnknownComponent(t *testing.T) {
 	}
 }
 
+// owedLink is a metasocket.Link that owes what the test says it does.
+type owedLink struct{ owed atomic.Uint64 }
+
+func (l *owedLink) Owed() uint64     { return l.owed.Load() }
+func (l *owedLink) OnRelease(func()) {}
+
 // TestRecvNeedsDrainPolicy: the receive adapter drains only when it sits
 // in a non-first reset phase.
 func TestRecvNeedsDrainPolicy(t *testing.T) {
-	pending := 0
+	var link owedLink
 	sock, err := metasocket.NewRecvSocket(func(metasocket.Packet) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	sock.SetPendingFunc(func() int { return pending })
+	sock.AttachLink(&link)
 	sp := NewRecvProcess("handheld", sock, factory(t))
 
 	singlePhase := step("A2", nil, [][]string{{"handheld"}})
@@ -216,7 +223,7 @@ func TestRecvNeedsDrainPolicy(t *testing.T) {
 	// And the drain actually gates Reset: with pending datagrams and a
 	// short deadline, Reset fails (fail-to-reset), leaving the socket
 	// unblocked.
-	pending = 3
+	link.owed.Store(3)
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
 	if err := sp.Reset(ctx, secondPhase); err == nil {

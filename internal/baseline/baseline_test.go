@@ -102,10 +102,13 @@ func TestDrainedCompoundSafeButLongBlocking(t *testing.T) {
 		t.Errorf("drained compound corrupted the stream: %d", got)
 	}
 	assertTargetConfig(t, res)
-	// The server's blocked window must cover at least the slower link's
-	// drain latency.
-	if w := res.Report.BlockedWindows[paper.ProcessServer]; w < 4*time.Millisecond {
-		t.Errorf("server blocked window = %v, want >= link latency", w)
+	// One global window: the server is frozen before, and released after,
+	// both clients' drain-and-swap. (How long that is depends on how long
+	// before the freeze the last frame left: the drain ends the moment it
+	// lands, up to one link latency later.)
+	w := res.Report.BlockedWindows
+	if !(w[paper.ProcessServer] >= w[paper.ProcessHandheld] && w[paper.ProcessHandheld] >= w[paper.ProcessLaptop] && w[paper.ProcessLaptop] > 0) {
+		t.Errorf("blocked windows not nested server ⊇ handheld ⊇ laptop: %v", w)
 	}
 }
 

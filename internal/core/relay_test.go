@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -91,7 +92,7 @@ func TestRelayCompositeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relayRecv.SetPendingFunc(relaySub.InFlight)
+	relayRecv.AttachLink(relaySub)
 
 	// Sink: validates the tag.
 	sinkSock, err := metasocket.NewRecvSocket(func(p metasocket.Packet) error {
@@ -101,22 +102,14 @@ func TestRelayCompositeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sinkSock.SetPendingFunc(sinkSub.InFlight)
+	sinkSock.AttachLink(sinkSub)
 
-	pump := func(sub *netsim.Subscription, sock *metasocket.RecvSocket) {
-		ch := make(chan []byte, 1024)
-		go func() {
-			defer close(ch)
-			for d := range sub.Recv() {
-				ch <- d
-			}
-		}()
-		if err := sock.Start(ch); err != nil {
-			t.Fatal(err)
-		}
+	if err := relayRecv.Start(relaySub.Recv()); err != nil {
+		t.Fatal(err)
 	}
-	pump(relaySub, relayRecv)
-	pump(sinkSub, sinkSock)
+	if err := sinkSock.Start(sinkSub.Recv()); err != nil {
+		t.Fatal(err)
+	}
 
 	// Adaptive system description: versions across three processes.
 	reg := model.MustRegistry(
@@ -227,13 +220,13 @@ func TestRelayCompositeEndToEnd(t *testing.T) {
 	time.Sleep(15 * time.Millisecond)
 	close(stop)
 	<-trafficDone
-	// Drain the pipeline end to end.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if relaySub.InFlight() == 0 && sinkSub.InFlight() == 0 && sinkSock.Drained() && relayRecv.Drained() {
-			break
+	// Drain the pipeline end to end, upstream first.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, sock := range []*metasocket.RecvSocket{relayRecv, sinkSock} {
+		if err := sock.WaitDrained(ctx); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 
 	if got := relayRecv.Filters(); got[0] != "RelayUntagV2" {

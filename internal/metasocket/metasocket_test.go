@@ -521,33 +521,6 @@ func TestRecvSocketPipeline(t *testing.T) {
 	sock.Wait()
 }
 
-func TestRecvDrained(t *testing.T) {
-	pending := 1
-	sock, err := NewRecvSocket(func(Packet) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sock.SetPendingFunc(func() int { return pending })
-	if sock.Drained() {
-		t.Error("pending datagrams should block drain")
-	}
-	pending = 0
-	if !sock.Drained() {
-		t.Error("no pending, not busy: drained")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := sock.WaitDrained(ctx); err != nil {
-		t.Errorf("WaitDrained: %v", err)
-	}
-	pending = 5
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 40*time.Millisecond)
-	defer cancel2()
-	if err := sock.WaitDrained(ctx2); err == nil {
-		t.Error("WaitDrained should time out with pending datagrams")
-	}
-}
-
 func TestChainInsertPosition(t *testing.T) {
 	sock, err := NewSendSocket(func([]byte) error { return nil },
 		NewPassthrough("A"), NewPassthrough("C"))

@@ -2,6 +2,7 @@ package metasocket
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,21 @@ import (
 // SinkFunc receives packets after decoder-chain processing; the video
 // client wires it to the depacketizer/player.
 type SinkFunc func(Packet) error
+
+// Link is what a receive socket needs from the network link that feeds
+// it to decide, exactly, that it has received everything the sender has
+// sent. *netsim.Subscription and *rtnet.Receiver implement it.
+type Link interface {
+	// Owed returns how many datagrams the link has accepted for this
+	// receiver and not dropped, since it opened: those still in transit
+	// plus those handed to the receiver's channel, counted so that a
+	// datagram moving from one to the other is never missed.
+	Owed() uint64
+	// OnRelease registers fn to be called, outside the link's locks,
+	// whenever Owed falls without a datagram reaching the receiver (a
+	// link-side drop).
+	OnRelease(fn func())
+}
 
 // RecvSocket is the receiving half of a MetaSocket: datagrams from the
 // network traverse the decoder filter chain and are delivered to the
@@ -26,9 +42,9 @@ type RecvSocket struct {
 	decodeErr atomic.Uint64
 	tel       atomic.Pointer[telemetry.Registry]
 
-	// pendingFn, when set, reports datagrams queued or in flight toward
-	// this socket (wired to the netsim subscription); Drained uses it.
-	pendingFn func() int
+	// link, when attached, is the ledger of what the network owes this
+	// socket; Drained compares it with processed.
+	link Link
 
 	// observeArrival, when set, sees every packet after unmarshalling and
 	// before chain processing; the CCS instrumentation hooks in here.
@@ -65,10 +81,15 @@ func NewRecvSocket(sink SinkFunc, filters ...Filter) (*RecvSocket, error) {
 // counts and blocking latency to. Nil disables instrumentation.
 func (r *RecvSocket) SetTelemetry(tel *telemetry.Registry) { r.tel.Store(tel) }
 
-// SetPendingFunc installs the function reporting how many datagrams are
-// queued or in flight toward this socket; Drained consults it. Set it
-// before traffic starts.
-func (r *RecvSocket) SetPendingFunc(fn func() int) { r.pendingFn = fn }
+// AttachLink attaches the link whose channel the socket consumes, making
+// Drained exact: the socket then knows of every datagram on the wire or
+// queued anywhere between the link and its decoder chain. The socket must
+// be the only consumer of the link's channel. Attach before traffic
+// starts.
+func (r *RecvSocket) AttachLink(l Link) {
+	r.link = l
+	l.OnRelease(r.wake)
+}
 
 // SetArrivalObserver installs a hook that sees every packet after
 // unmarshalling, before the decoder chain runs. Set it before traffic
@@ -148,43 +169,60 @@ func (r *RecvSocket) Processed() uint64 { return r.processed.Load() }
 // chain processing, or sink delivery.
 func (r *RecvSocket) DecodeErrors() uint64 { return r.decodeErr.Load() }
 
-// Drained reports the socket's share of the paper's global safe
-// condition: no datagram is queued on, in flight toward, or being
-// processed by this socket. It is meaningful once the upstream sender is
-// blocked (the manager's reset phases guarantee that ordering).
-func (r *RecvSocket) Drained() bool {
-	if r.pendingFn != nil && r.pendingFn() > 0 {
-		return false
+// Pending returns how many datagrams the attached link has accepted for
+// this socket that the socket has not finished processing: on the wire,
+// in any queue between link and socket, or in the decoder chain. Without
+// an attached link it is 0.
+func (r *RecvSocket) Pending() int {
+	if r.link == nil {
+		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return !r.busy
+	// processed is read after Owed, so under a live sender it can have
+	// run ahead of the value Owed returned; it never exceeds the current
+	// one.
+	if owed, done := r.link.Owed(), r.processed.Load(); owed > done {
+		return int(owed - done)
+	}
+	return 0
 }
 
-// WaitDrained polls Drained until it holds (with a short stability
-// window, so a datagram between queue and processing isn't missed) or ctx
-// expires.
+// Drained reports the socket's share of the paper's global safe
+// condition ("the receiver has received all the datagram packets that the
+// sender has sent"): every datagram the link accepted for this socket has
+// been processed by it or counted dropped by the link, and none is being
+// processed. It is stable once the upstream sender is blocked (the
+// manager's reset phases guarantee that ordering); with a live sender it
+// holds only for the instant it is read.
+func (r *RecvSocket) Drained() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.drainedLocked()
+}
+
+func (r *RecvSocket) drainedLocked() bool { return !r.busy && r.Pending() == 0 }
+
+// WaitDrained blocks until Drained holds, the socket closes, or ctx
+// expires. It does not poll: the only events that can make the condition
+// true — a packet leaving the decoder chain, a drop on the link — wake it
+// through the blocker's condition variable.
 func (r *RecvSocket) WaitDrained(ctx context.Context) error {
-	const poll = 2 * time.Millisecond
-	stableNeed := 3
-	stable := 0
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		if r.Drained() {
-			stable++
-			if stable >= stableNeed {
-				return nil
-			}
-		} else {
-			stable = 0
+	start := time.Now()
+	stop := context.AfterFunc(ctx, r.wake)
+	defer stop()
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for !r.drainedLocked() {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("metasocket: drain: %w", err)
 		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("metasocket: drain: %w", ctx.Err())
-		case <-ticker.C:
+		if r.closed {
+			return errors.New("metasocket: drain: socket closed")
 		}
+		r.cond.Wait()
 	}
+	r.tel.Load().Histogram("metasocket.recv.drain.latency").ObserveSince(start)
+	return nil
 }
 
 // RequestBlock drives the socket to its local safe state; see blocker.
@@ -199,12 +237,20 @@ func (r *RecvSocket) RequestBlock(ctx context.Context) error {
 		return err
 	}
 	tel.Histogram("metasocket.recv.block.latency").ObserveSince(start)
-	// Datagrams still queued or in flight toward the blocked socket: the
-	// frames the swap must wait out before the link is drained.
-	if r.pendingFn != nil {
-		tel.Gauge("metasocket.recv.pending_at_block").Set(int64(r.pendingFn()))
+	// Datagrams still owed to the blocked socket: 0 after a drained
+	// reset, otherwise what a recomposition now would strand.
+	if r.link != nil {
+		tel.Gauge("metasocket.recv.pending_at_block").Set(int64(r.Pending()))
 	}
 	return nil
+}
+
+// Unblock resumes packet processing. The time the socket was held
+// blocked — the receiver's blackout — is recorded.
+func (r *RecvSocket) Unblock() {
+	if held, ok := r.unblock(); ok {
+		r.tel.Load().Histogram("metasocket.recv.blocked.latency").Observe(held)
+	}
 }
 
 // Filters returns the chain's filter names in order.

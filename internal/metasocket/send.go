@@ -192,3 +192,11 @@ func (s *SendSocket) RequestBlock(ctx context.Context) error {
 	tel.Histogram("metasocket.send.block.latency").ObserveSince(start)
 	return nil
 }
+
+// Unblock resumes packet processing. The time the socket was held
+// blocked — the sender's blackout — is recorded.
+func (s *SendSocket) Unblock() {
+	if held, ok := s.unblock(); ok {
+		s.tel.Load().Histogram("metasocket.send.blocked.latency").Observe(held)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 )
 
 // ErrNotBlocked is returned by chain recomposition operations invoked
@@ -26,6 +27,9 @@ type blocker struct {
 	blocked bool
 	busy    bool
 	closed  bool
+	// blockedAt is when the RequestBlock now in force succeeded (zero
+	// when none is); unblock measures the blackout from it.
+	blockedAt time.Time
 }
 
 func newBlocker() *blocker {
@@ -62,11 +66,7 @@ func (b *blocker) exit() {
 // boundary — the local safe state. It honors ctx: on cancellation the
 // flag is cleared and the socket resumes.
 func (b *blocker) RequestBlock(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		b.cond.Broadcast()
-	})
+	stop := context.AfterFunc(ctx, b.wake)
 	defer stop()
 
 	b.mu.Lock()
@@ -87,15 +87,31 @@ func (b *blocker) RequestBlock(ctx context.Context) error {
 		b.blocked = false
 		return errors.New("metasocket: socket closed")
 	}
+	b.blockedAt = time.Now()
 	return nil
 }
 
-// Unblock resumes packet processing.
-func (b *blocker) Unblock() {
+// wake makes every goroutine waiting on the blocker's condition
+// re-evaluate it. It takes the lock so that a waiter between its check
+// and its Wait cannot miss the signal.
+func (b *blocker) wake() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.cond.Broadcast()
+}
+
+// unblock resumes packet processing and reports how long the socket had
+// been held blocked (false when no RequestBlock was in force).
+func (b *blocker) unblock() (held time.Duration, wasBlocked bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.blockedAt.IsZero() {
+		held, wasBlocked = time.Since(b.blockedAt), true
+		b.blockedAt = time.Time{}
+	}
 	b.blocked = false
 	b.cond.Broadcast()
+	return held, wasBlocked
 }
 
 // Blocked reports whether the socket is currently held blocked.

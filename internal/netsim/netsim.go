@@ -68,8 +68,10 @@ func (p LinkProfile) Validate() error {
 }
 
 // Datagram is one unit of network transmission: an opaque payload, like a
-// UDP datagram.
-type Datagram []byte
+// UDP datagram. It is an alias, so a subscription's Recv channel feeds a
+// metasocket.RecvSocket directly, with no forwarding goroutine (and no
+// uncounted queue) in between.
+type Datagram = []byte
 
 // Group is a multicast group: datagrams sent to the group are delivered
 // to every subscriber, independently per link.
@@ -127,6 +129,9 @@ type Subscription struct {
 	delivered int
 	dropped   int
 	inFlight  int
+	// onRelease, when set, is called (outside mu) after the link drops a
+	// datagram it had accepted; see OnRelease.
+	onRelease func()
 }
 
 type timedDatagram struct {
@@ -269,13 +274,36 @@ func (s *Subscription) Stats() (delivered, dropped int) {
 }
 
 // InFlight returns the number of datagrams currently traversing the link
-// (enqueued but not yet delivered). A drained link has zero in flight;
-// receivers use this for the paper's global safe condition ("the receiver
-// has received all the datagram packets that the sender has sent").
+// (enqueued but not yet delivered). It does not see datagrams already
+// handed to the Recv channel; drain decisions use Owed.
 func (s *Subscription) InFlight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.inFlight
+}
+
+// Owed is the link's side of the drain ledger: how many datagrams it has
+// accepted for this receiver and not dropped — those still on the wire
+// plus every one handed to the Recv channel so far, read in one critical
+// section. A receiver that has processed Owed datagrams has received
+// everything the sender has sent (the paper's global safe condition);
+// the difference is exactly what is still on the wire or queued between
+// the link and the receiver. Datagrams lost to LossRate are never
+// accepted and never counted.
+func (s *Subscription) Owed() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return uint64(s.inFlight + s.delivered)
+}
+
+// OnRelease registers fn to be called after every event that lowers Owed
+// without the receiver seeing a datagram: a receiver-buffer overflow
+// drop. The call is made outside the subscription's lock, so fn may take
+// locks that are held while calling Owed. Set it before traffic starts.
+func (s *Subscription) OnRelease(fn func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.onRelease = fn
 }
 
 // Unsubscribe removes the subscriber from the group and closes its
@@ -353,6 +381,7 @@ func (s *Subscription) deliverLoop() {
 		s.inFlight--
 		tel := s.group.tel.Load()
 		tel.Gauge("netsim.datagrams.in_flight").Add(-1)
+		var released func()
 		select {
 		case s.ch <- item.payload:
 			s.delivered++
@@ -361,6 +390,7 @@ func (s *Subscription) deliverLoop() {
 			// Receiver buffer overflow: the datagram is lost, as on a
 			// real congested link.
 			s.dropped++
+			released = s.onRelease
 			tel.Counter("netsim.datagrams.dropped").Inc()
 			if fr := tel.Flight(); fr.Enabled() {
 				fr.Record(telemetry.FlightEvent{
@@ -373,6 +403,9 @@ func (s *Subscription) deliverLoop() {
 		}
 		closedNow := s.closed && len(s.queue) == 0
 		s.mu.Unlock()
+		if released != nil {
+			released()
+		}
 		if closedNow {
 			close(s.ch)
 			return

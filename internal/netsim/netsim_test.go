@@ -320,3 +320,95 @@ func TestSameSeedIdenticalWithTracing(t *testing.T) {
 		t.Errorf("netsim advanced the Lamport clock to %d; it must only read it", tel.LamportNow())
 	}
 }
+
+// gateClock is a virtual clock that moves only when the test says so:
+// Sleep blocks until Advance has carried the clock past the wake-up time.
+type gateClock struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	now  time.Time
+}
+
+func newGateClock() *gateClock {
+	c := &gateClock{now: time.Unix(0, 0)}
+	c.cond = sync.NewCond(&c.mu)
+	return c
+}
+
+func (c *gateClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *gateClock) Sleep(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for until := c.now.Add(d); c.now.Before(until); {
+		c.cond.Wait()
+	}
+}
+
+func (c *gateClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+	c.cond.Broadcast()
+}
+
+// TestOwedCoversWireAndHandOff: the drain ledger counts a datagram from
+// the moment the link accepts it, through the hand-over to the Recv
+// channel (where InFlight stops seeing it), and never counts one lost to
+// LossRate.
+func TestOwedCoversWireAndHandOff(t *testing.T) {
+	clock := newGateClock()
+	g := NewGroupWithClock(1, clock)
+	defer func() { _ = g.Close() }()
+	sub, err := g.Subscribe("rx", LinkProfile{Latency: 3 * time.Millisecond}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossy, err := g.Subscribe("lossy", LinkProfile{LossRate: 1}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Send([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if sub.Owed() != 1 || sub.InFlight() != 1 {
+		t.Fatalf("on the wire: owed %d in flight %d, want 1 and 1", sub.Owed(), sub.InFlight())
+	}
+	if lossy.Owed() != 0 {
+		t.Fatalf("a datagram lost on the link is owed to nobody, got %d", lossy.Owed())
+	}
+	clock.Advance(3 * time.Millisecond)
+	<-sub.Recv()
+	if sub.Owed() != 1 || sub.InFlight() != 0 {
+		t.Fatalf("handed over: owed %d in flight %d, want 1 and 0", sub.Owed(), sub.InFlight())
+	}
+}
+
+// TestOverflowDropReleases: a datagram the link accepted and then dropped
+// on receiver overflow leaves the ledger, and the link says so — outside
+// its lock, so the callback may read the ledger.
+func TestOverflowDropReleases(t *testing.T) {
+	g := NewGroup(1)
+	defer func() { _ = g.Close() }()
+	sub, err := g.Subscribe("rx", LinkProfile{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := make(chan uint64, 1)
+	sub.OnRelease(func() { released <- sub.Owed() })
+	for i := 0; i < 2; i++ { // the second overflows the one-slot buffer
+		if err := g.Send([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if owed := <-released; owed != 1 {
+		t.Fatalf("owed after the drop = %d, want 1", owed)
+	}
+	if delivered, dropped := sub.Stats(); delivered != 1 || dropped != 1 {
+		t.Fatalf("stats: delivered %d dropped %d", delivered, dropped)
+	}
+}

@@ -73,7 +73,7 @@ func TestRealNetworkEndToEnd(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		client.Socket().SetPendingFunc(recv.Pending)
+		client.Socket().AttachLink(recv)
 		if err := client.Socket().Start(recv.Recv()); err != nil {
 			return nil, err
 		}
@@ -156,18 +156,15 @@ func TestRealNetworkEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drain: wait until both receivers are quiet and the sockets idle.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		hhRx, _ := hhRecv.Stats()
-		lpRx, _ := lpRecv.Stats()
-		if hhRecv.Pending() == 0 && lpRecv.Pending() == 0 &&
-			handheld.Socket().Processed() >= hhRx && laptop.Socket().Processed() >= lpRx {
-			break
+	// Drain: everything the receivers read has been processed and the UDP
+	// sockets have been quiet for rtnet's window.
+	drainCtx, cancelDrain := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelDrain()
+	for _, c := range []*video.Client{handheld, laptop} {
+		if err := c.Socket().WaitDrained(drainCtx); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	time.Sleep(20 * time.Millisecond) // quiet window for kernel buffers
 
 	hh := handheld.Player().Finalize()
 	lp := laptop.Player().Finalize()

@@ -19,10 +19,20 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // maxDatagram bounds receive buffers; fragments are far smaller.
 const maxDatagram = 64 * 1024
+
+// quietWindow is how long the UDP socket must have been silent before the
+// receiver vouches that nothing more is on its way. A datagram in the
+// kernel's buffers or on the wire cannot be counted, unlike one in a
+// simulated link, so after each arrival the receiver assumes for this
+// long that another may follow. Loopback and LAN hand a sent datagram to
+// a waiting reader within microseconds; 5 ms covers a scheduling hiccup
+// of the read loop.
+const quietWindow = 5 * time.Millisecond
 
 // Transmitter sends each datagram to every configured receiver address.
 type Transmitter struct {
@@ -79,6 +89,13 @@ type Receiver struct {
 	received atomic.Uint64
 	dropped  atomic.Uint64
 
+	// The drain ledger (see Owed), kept in step with the channel send.
+	mu        sync.Mutex
+	delivered uint64      // datagrams put on ch
+	lastRead  time.Time   // when the socket last yielded a datagram
+	quiet     *time.Timer // fires quietWindow after lastRead
+	onRelease func()
+
 	closeOnce sync.Once
 	done      chan struct{}
 }
@@ -114,11 +131,44 @@ func (r *Receiver) Addr() string { return r.conn.LocalAddr().String() }
 func (r *Receiver) Recv() <-chan []byte { return r.ch }
 
 // Pending reports datagrams delivered to the channel but not yet taken
-// off it — the receiver's share of a drain condition. Datagrams still in
-// kernel buffers are invisible, so drain checks must pair Pending with a
-// short quiet window, which metasocket.RecvSocket.WaitDrained already
-// does.
+// off it. It sees neither the kernel's buffers nor a datagram the
+// consumer has taken but not finished with; drain decisions use Owed
+// (attach the receiver with metasocket.RecvSocket.AttachLink).
 func (r *Receiver) Pending() int { return len(r.ch) }
+
+// Owed implements metasocket.Link: the datagrams put on the channel so
+// far, plus one while the socket has not been quiet for quietWindow —
+// standing for whatever may still be in kernel buffers, which cannot be
+// counted. So a drain over real UDP is exact for everything in user
+// space and waits out one quiet window for the rest.
+func (r *Receiver) Owed() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	owed := r.delivered
+	if !r.lastRead.IsZero() && time.Since(r.lastRead) < quietWindow {
+		owed++
+	}
+	return owed
+}
+
+// OnRelease implements metasocket.Link: fn is called, outside the
+// receiver's lock, when a quiet window ends. Set it before traffic
+// starts.
+func (r *Receiver) OnRelease(fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.onRelease = fn
+}
+
+// quietElapsed runs quietWindow after the latest arrival.
+func (r *Receiver) quietElapsed() {
+	r.mu.Lock()
+	fn := r.onRelease
+	r.mu.Unlock()
+	if fn != nil {
+		fn()
+	}
+}
 
 // Stats returns how many datagrams were received and how many were
 // dropped on channel overflow.
@@ -148,10 +198,19 @@ func (r *Receiver) readLoop() {
 		d := make([]byte, n)
 		copy(d, buf[:n])
 		r.received.Add(1)
+		r.mu.Lock()
 		select {
 		case r.ch <- d:
+			r.delivered++
 		default:
 			r.dropped.Add(1) // receiver overrun, like real UDP
 		}
+		r.lastRead = time.Now()
+		if r.quiet == nil {
+			r.quiet = time.AfterFunc(quietWindow, r.quietElapsed)
+		} else {
+			r.quiet.Reset(quietWindow)
+		}
+		r.mu.Unlock()
 	}
 }

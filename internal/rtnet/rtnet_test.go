@@ -129,3 +129,44 @@ func TestValidation(t *testing.T) {
 		t.Error("bad listen address should fail")
 	}
 }
+
+// TestOwedSettlesAfterQuietWindow: the receiver's ledger counts what it
+// put on the channel, holds one more while the socket may still have
+// datagrams in kernel buffers, and announces the end of that window.
+func TestOwedSettlesAfterQuietWindow(t *testing.T) {
+	r, err := NewReceiver("127.0.0.1:0", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = r.Close() }()
+	tx, err := NewTransmitter(r.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tx.Close() }()
+	if r.Owed() != 0 {
+		t.Fatalf("a receiver that has seen nothing owes %d", r.Owed())
+	}
+
+	settled := make(chan struct{}, 1)
+	r.OnRelease(func() { settled <- struct{}{} })
+	sent := time.Now()
+	if err := tx.Send([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, r)
+	if owed := r.Owed(); owed < 1 {
+		t.Fatalf("owed %d after one datagram", owed)
+	}
+	select {
+	case <-settled:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the quiet window never ended")
+	}
+	if quiet := time.Since(sent); quiet < quietWindow {
+		t.Fatalf("settled after %v, before the %v quiet window", quiet, quietWindow)
+	}
+	if owed := r.Owed(); owed != 1 {
+		t.Fatalf("owed %d once settled, want 1", owed)
+	}
+}

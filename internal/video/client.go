@@ -38,7 +38,7 @@ type Player struct {
 
 type frameAssembly struct {
 	count     uint16
-	fragments map[uint16][]byte
+	fragments map[uint16][]byte // nil once finalized
 	corrupted bool
 	finalized bool
 }
@@ -64,6 +64,9 @@ func (pl *Player) Deliver(p metasocket.Packet) error {
 		pl.stats.PacketsUndecoded++
 		fa.corrupted = true
 	}
+	if fa.finalized {
+		return nil // late duplicate: the frame is judged, its fragments released
+	}
 	if _, dup := fa.fragments[p.Index]; !dup {
 		fa.fragments[p.Index] = p.Payload
 	}
@@ -72,29 +75,34 @@ func (pl *Player) Deliver(p metasocket.Packet) error {
 }
 
 func (pl *Player) maybeFinalize(id uint32, fa *frameAssembly) {
-	if fa.finalized || len(fa.fragments) < int(fa.count) {
+	if len(fa.fragments) < int(fa.count) {
 		return
 	}
 	fa.finalized = true
-	if fa.corrupted {
+	if fa.intact(id) {
+		pl.stats.FramesOK++
+	} else {
 		pl.stats.FramesCorrupted++
-		return
+	}
+	// The verdict is all that outlives the frame: keeping the payloads of
+	// every frame ever played grows the heap without bound.
+	fa.fragments = nil
+}
+
+// intact reassembles the complete frame and verifies its checksum.
+func (fa *frameAssembly) intact(id uint32) bool {
+	if fa.corrupted {
+		return false
 	}
 	payload := make([]byte, 0)
 	for i := uint16(0); i < fa.count; i++ {
 		frag, ok := fa.fragments[i]
 		if !ok {
-			pl.stats.FramesCorrupted++
-			return
+			return false
 		}
 		payload = append(payload, frag...)
 	}
-	f := Frame{ID: id, Payload: payload}
-	if err := f.Verify(); err != nil {
-		pl.stats.FramesCorrupted++
-		return
-	}
-	pl.stats.FramesOK++
+	return Frame{ID: id, Payload: payload}.Verify() == nil
 }
 
 // Finalize counts still-incomplete frames as incomplete and returns the

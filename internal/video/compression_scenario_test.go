@@ -53,15 +53,8 @@ func TestCompressionInsertionMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client.Socket().SetPendingFunc(sub.InFlight)
-	ch := make(chan []byte, 4096)
-	go func() {
-		defer close(ch)
-		for d := range sub.Recv() {
-			ch <- d
-		}
-	}()
-	if err := client.Socket().Start(ch); err != nil {
+	client.Socket().AttachLink(sub)
+	if err := client.Socket().Start(sub.Recv()); err != nil {
 		t.Fatal(err)
 	}
 

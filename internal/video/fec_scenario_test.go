@@ -53,15 +53,8 @@ func newFECRig(t *testing.T, seed int64, loss float64) *fecRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client.Socket().SetPendingFunc(sub.InFlight)
-	ch := make(chan []byte, 4096)
-	go func() {
-		defer close(ch)
-		for d := range sub.Recv() {
-			ch <- d
-		}
-	}()
-	if err := client.Socket().Start(ch); err != nil {
+	client.Socket().AttachLink(sub)
+	if err := client.Socket().Start(sub.Recv()); err != nil {
 		t.Fatal(err)
 	}
 	return &fecRig{group: group, sub: sub, server: server, client: client}
@@ -69,14 +62,11 @@ func newFECRig(t *testing.T, seed int64, loss float64) *fecRig {
 
 func (r *fecRig) close(t *testing.T) Stats {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for r.sub.InFlight() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("link did not drain")
-		}
-		time.Sleep(time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := r.client.Socket().WaitDrained(ctx); err != nil {
+		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond) // let the socket finish queued datagrams
 	stats := r.client.Player().Finalize()
 	_ = r.group.Close()
 	r.client.Socket().Wait()

@@ -1,6 +1,7 @@
 package video
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -39,9 +40,6 @@ type System struct {
 
 	HandheldSub *netsim.Subscription
 	LaptopSub   *netsim.Subscription
-
-	handheldDone chan struct{}
-	laptopDone   chan struct{}
 }
 
 // FilterFactory returns the case study's component factory: component
@@ -83,11 +81,16 @@ func NewSystem(opts SystemOptions) (*System, error) {
 	group := netsim.NewGroup(opts.Seed)
 	group.SetTelemetry(opts.Telemetry)
 
-	hhSub, err := group.Subscribe(paper.ProcessHandheld, opts.Handheld, 1024)
+	// linkBuffer is how many delivered datagrams a link holds for a client
+	// that has fallen behind before it drops them, as a congested link
+	// would: some 110 ms of a 2,000 frames/s stream of 9-fragment frames,
+	// enough to ride out a garbage-collection or scheduler stall.
+	const linkBuffer = 2048
+	hhSub, err := group.Subscribe(paper.ProcessHandheld, opts.Handheld, linkBuffer)
 	if err != nil {
 		return nil, err
 	}
-	lpSub, err := group.Subscribe(paper.ProcessLaptop, opts.Laptop, 1024)
+	lpSub, err := group.Subscribe(paper.ProcessLaptop, opts.Laptop, linkBuffer)
 	if err != nil {
 		return nil, err
 	}
@@ -122,44 +125,26 @@ func NewSystem(opts SystemOptions) (*System, error) {
 		return nil, err
 	}
 
-	handheld.Socket().SetPendingFunc(func() int { return hhSub.InFlight() })
-	laptop.Socket().SetPendingFunc(func() int { return lpSub.InFlight() })
+	handheld.Socket().AttachLink(hhSub)
+	laptop.Socket().AttachLink(lpSub)
 	sendSock.SetTelemetry(opts.Telemetry)
 	handheld.Socket().SetTelemetry(opts.Telemetry)
 	laptop.Socket().SetTelemetry(opts.Telemetry)
 
-	sys := &System{
-		Group:        group,
-		Server:       server,
-		Handheld:     handheld,
-		Laptop:       laptop,
-		HandheldSub:  hhSub,
-		LaptopSub:    lpSub,
-		handheldDone: make(chan struct{}),
-		laptopDone:   make(chan struct{}),
-	}
-
-	hhCh := make(chan []byte, 1024)
-	lpCh := make(chan []byte, 1024)
-	go pump(hhSub, hhCh, sys.handheldDone)
-	go pump(lpSub, lpCh, sys.laptopDone)
-	if err := handheld.Socket().Start(hhCh); err != nil {
+	if err := handheld.Socket().Start(hhSub.Recv()); err != nil {
 		return nil, err
 	}
-	if err := laptop.Socket().Start(lpCh); err != nil {
+	if err := laptop.Socket().Start(lpSub.Recv()); err != nil {
 		return nil, err
 	}
-	return sys, nil
-}
-
-// pump forwards datagrams from a subscription to a socket channel,
-// closing the channel when the subscription closes.
-func pump(sub *netsim.Subscription, out chan<- []byte, done chan<- struct{}) {
-	defer close(done)
-	defer close(out)
-	for d := range sub.Recv() {
-		out <- d
-	}
+	return &System{
+		Group:       group,
+		Server:      server,
+		Handheld:    handheld,
+		Laptop:      laptop,
+		HandheldSub: hhSub,
+		LaptopSub:   lpSub,
+	}, nil
 }
 
 // Client returns the client running on the named process.
@@ -185,32 +170,24 @@ func (s *System) Processes() map[string]*adapters.SocketProcess {
 	}
 }
 
-// Drain waits until both client links are drained and all received
-// packets processed, bounded by timeout. Call it after the stream stops
-// and before reading final statistics.
+// Drain waits until both clients have processed everything their links
+// accepted (metasocket.RecvSocket.WaitDrained), bounded by timeout. Call
+// it after the stream stops and before reading final statistics.
 func (s *System) Drain(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		hhDel, _ := s.HandheldSub.Stats()
-		lpDel, _ := s.LaptopSub.Stats()
-		hhDone := s.HandheldSub.InFlight() == 0 && uint64(hhDel) <= s.Handheld.Socket().Processed()
-		lpDone := s.LaptopSub.InFlight() == 0 && uint64(lpDel) <= s.Laptop.Socket().Processed()
-		if hhDone && lpDone {
-			return nil
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	for _, c := range []*Client{s.Handheld, s.Laptop} {
+		if err := c.Socket().WaitDrained(ctx); err != nil {
+			return fmt.Errorf("video: drain %s: %w", c.Name(), err)
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("video: drain timed out")
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
+	return nil
 }
 
-// Close tears the system down: the group closes, the pumps finish, and
-// the sockets drain their channels.
+// Close tears the system down: the group closes and the sockets finish
+// what the links flush to them.
 func (s *System) Close() error {
 	err := s.Group.Close()
-	<-s.handheldDone
-	<-s.laptopDone
 	s.Handheld.Socket().Wait()
 	s.Laptop.Socket().Wait()
 	s.Server.Socket().Close()

@@ -104,6 +104,56 @@ func TestPlayerCountsIncompleteFrames(t *testing.T) {
 	}
 }
 
+// TestPlayerReleasesFinishedFrames: a player that has judged 20,000 frames
+// holds none of their payloads, its statistics are what they were when it
+// kept them all, and a late duplicate of a judged frame is counted as
+// delivered (and as undecoded when it is) without resurrecting the frame.
+func TestPlayerReleasesFinishedFrames(t *testing.T) {
+	const frames, frag = 20000, 256
+	pl := NewPlayer()
+	fragments := func(f Frame) []metasocket.Packet {
+		n := (len(f.Payload) + frag - 1) / frag
+		out := make([]metasocket.Packet, n)
+		for i := range out {
+			out[i] = metasocket.Packet{
+				Frame: f.ID, Index: uint16(i), Count: uint16(n),
+				Payload: f.Payload[i*frag : min((i+1)*frag, len(f.Payload))],
+			}
+		}
+		return out
+	}
+	packets := 0
+	for id := uint32(0); id < frames; id++ {
+		for _, p := range fragments(GenerateFrame(id, 600)) {
+			if err := pl.Deliver(p); err != nil {
+				t.Fatal(err)
+			}
+			packets++
+		}
+	}
+	for id, fa := range pl.frames {
+		if !fa.finalized || fa.fragments != nil {
+			t.Fatalf("frame %d: finalized=%v, %d fragments still held", id, fa.finalized, len(fa.fragments))
+		}
+	}
+
+	late := fragments(GenerateFrame(7, 600))[1]
+	if err := pl.Deliver(late); err != nil {
+		t.Fatal(err)
+	}
+	late.Enc = []string{"des128"}
+	if err := pl.Deliver(late); err != nil {
+		t.Fatal(err)
+	}
+	if pl.frames[7].fragments != nil {
+		t.Error("a late duplicate was stored into a finished frame")
+	}
+	want := Stats{FramesOK: frames, PacketsDelivered: packets + 2, PacketsUndecoded: 1}
+	if got := pl.Finalize(); got != want {
+		t.Errorf("stats = %+v, want %+v", got, want)
+	}
+}
+
 // TestVideoPipelineEndToEnd reproduces Fig. 3's steady state: frames
 // stream from the server through DES-64 encode, the multicast network,
 // and per-client decode, arriving intact at both players.
