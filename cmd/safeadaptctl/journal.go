@@ -20,7 +20,7 @@ func journalCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("journal", flag.ContinueOnError)
 	asJSON := fs.Bool("json", false, "machine-readable JSON output")
 	quiet := fs.Bool("summary", false, "print only the replayed recovery state, not every record")
-	follow := fs.Bool("follow", false, "tail a live journal: print each record as the manager appends it (Ctrl-C to stop)")
+	follow := fs.Bool("follow", false, "tail a live journal: print each record as the manager commits it (Ctrl-C to stop)")
 	poll := fs.Duration("poll", 200*time.Millisecond, "poll interval in -follow mode")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -94,12 +94,14 @@ func journalCmd(args []string, out io.Writer) error {
 
 // followJournal tails a live journal file: it prints every durable record
 // already in the log, then keeps re-scanning from the last good byte
-// offset, printing records as the writer appends them. Any decode failure
-// — clean EOF, a frame still being written, a torn tail — just means "the
-// valid log ends here for now"; the tailer re-seeks and retries after the
-// poll interval, exactly the WAL read discipline recovery uses. A nil stop
-// channel follows until the process is interrupted; tests pass a channel
-// and get a closing summary folded live via State.Apply.
+// offset, printing records as the writer commits them — the writer hands
+// the file one group of records per commit, so a record shows up here when
+// it becomes durable, not when it is appended. A clean EOF, a group still
+// being written or a torn tail just means "the valid log ends here for
+// now"; the tailer re-scans from there after the poll interval, exactly
+// the WAL read discipline recovery uses. A nil stop channel follows until
+// the process is interrupted; tests pass a channel and get a closing
+// summary folded live via State.Apply.
 func followJournal(path string, out io.Writer, poll time.Duration, stop <-chan struct{}) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -111,18 +113,19 @@ func followJournal(path string, out io.Writer, poll time.Duration, stop <-chan s
 	var off int64
 	count := 0
 	for {
-		if _, err := f.Seek(off, io.SeekStart); err != nil {
-			return fmt.Errorf("journal: seek: %w", err)
+		info, err := f.Stat()
+		if err != nil {
+			return fmt.Errorf("journal: stat: %w", err)
 		}
-		for {
-			rec, n, err := journal.DecodeFrame(f)
-			if err != nil {
-				break
-			}
-			off += n
-			count++
+		recs, n, err := journal.DecodeStream(io.NewSectionReader(f, off, info.Size()-off))
+		for _, rec := range recs {
 			st.Apply(rec)
 			fmt.Fprintf(out, "%s\n", rec)
+		}
+		off += n
+		count += len(recs)
+		if err != nil {
+			return fmt.Errorf("%s: %w at byte %d", path, err, off)
 		}
 		select {
 		case <-stop:

@@ -1,7 +1,11 @@
 package explore
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+
+	"repro/internal/journal"
 )
 
 // TestCrashSweepRecoversEverywhere is the crash-torture model check of
@@ -74,6 +78,85 @@ func TestCrashMidFsyncTornTail(t *testing.T) {
 	}
 	if gt := e.reg.BitVector(e.groundTruth()); gt != e.reg.BitVector(e.m.Target) {
 		t.Fatalf("ground truth %s never reached target %s", gt, e.reg.BitVector(e.m.Target))
+	}
+}
+
+// onCommitGroup installs an append hook that calls fn with the ordinal of
+// each commit group as its first record arrives: the manager commits by
+// group (a record rides the next commit a send depends on), and a group
+// opens whenever a record is appended onto an empty unsynced tail.
+func onCommitGroup(e *execution, fn func(group int)) {
+	group := 0
+	e.journal.AppendHook = func(journal.Record) error {
+		if len(e.journal.Unsynced()) == 0 {
+			group++
+			fn(group)
+		}
+		return nil
+	}
+}
+
+// TestCrashMidFsyncLosesWholeGroup kills the manager in the fsync that
+// closes each commit group of the happy path in turn, so the whole group —
+// adapt-begin + plan + step-begin, or a step-end with the next step-begin,
+// or the last step-end with adapt-end — never reaches the disk. The
+// successor must finish the adaptation from the shorter prefix, and no
+// process may end up with an in-action applied twice.
+func TestCrashMidFsyncLosesWholeGroup(t *testing.T) {
+	x := mustExplorer(t, Options{})
+	probe, err := newExecution(x, &replayChooser{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := 0
+	onCommitGroup(probe, func(g int) { groups = g })
+	probe.run()
+	if len(probe.violations) != 0 {
+		t.Fatalf("happy path violated safety: %v", probe.violations[0])
+	}
+	// Five step-begins, five points of no return, one adapt-end.
+	if groups != 11 {
+		t.Fatalf("happy path commits %d groups, want 11", groups)
+	}
+
+	for g := 1; g <= groups; g++ {
+		e, err := newExecution(x, &replayChooser{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		onCommitGroup(e, func(group int) {
+			if group == g {
+				e.journal.FailNextSync()
+			}
+		})
+		e.run()
+		if e.mgrCrashes != 1 {
+			t.Fatalf("group %d: expected exactly one manager crash, got %d", g, e.mgrCrashes)
+		}
+		if len(e.violations) != 0 {
+			t.Fatalf("group %d: recovery violated safety: %v", g, e.violations[0])
+		}
+		if gt := e.reg.BitVector(e.groundTruth()); gt != e.reg.BitVector(e.m.Target) {
+			t.Fatalf("group %d: ground truth %s never reached target %s", g, gt, e.reg.BitVector(e.m.Target))
+		}
+		// Net in-actions per (process, action): applied minus undone.
+		net := map[string]int{}
+		for _, line := range e.trace {
+			var proc, act string
+			if n, _ := fmt.Sscanf(line, "%s applies in-action %s", &proc, &act); n == 2 {
+				net[proc+" "+strings.TrimSuffix(act, ":")]++
+			} else if n, _ := fmt.Sscanf(line, "%s rolls back %s (in-action applied: true)", &proc, &act); n == 2 && strings.HasSuffix(line, "true)") {
+				net[proc+" "+act]--
+			}
+		}
+		if len(net) == 0 {
+			t.Fatalf("group %d: the trace shows no in-action", g)
+		}
+		for who, n := range net {
+			if n > 1 {
+				t.Errorf("group %d: in-action %s applied %d times", g, who, n)
+			}
+		}
 	}
 }
 

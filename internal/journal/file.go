@@ -1,47 +1,48 @@
 package journal
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
 )
 
 // File is the durable journal backend: an append-only file of framed
-// records, each [4-byte big-endian length][4-byte CRC32-IEEE of body]
-// [JSON body]. A record is in the log iff its frame reads back complete
-// and its checksum verifies; a torn tail (the crash landed mid-write) is
-// truncated away on reopen, never interpreted.
+// records (layout in codec.go). A record is in the log iff its frame reads
+// back complete and its checksum verifies; a torn tail (the crash landed
+// mid-write) is truncated away on reopen, never interpreted.
+//
+// Append only encodes, into a pending buffer; Sync hands the whole group
+// to the file in one write and fsyncs it. Nothing reaches the file — or a
+// reader of it, `safeadaptctl journal -follow` included — before the Sync
+// that makes it durable, and after a Sync the File holds no memory of the
+// records it wrote: Snapshot reads them back from the file.
 type File struct {
-	mu    sync.Mutex
-	f     *os.File
-	recs  []Record
-	seq   uint64
-	dirty bool
-	// Torn reports how many trailing bytes were discarded as a torn tail
+	mu      sync.Mutex
+	f       *os.File
+	seq     uint64
+	size    int64  // bytes of the file that are synced records
+	pending []byte // frames appended since the last successful Sync
+	// torn reports how many trailing bytes were discarded as a torn tail
 	// when the file was opened.
 	torn int64
 }
 
-// OpenFile opens (or creates) the journal at path, replays the existing
-// records, truncates any torn tail, and positions for append. The loaded
-// records are available via Snapshot.
+// OpenFile opens (or creates) the journal at path, verifies the existing
+// records, truncates any torn tail, and positions for append. A file
+// whose frames verify but are not records of this version is refused
+// (ErrUnknownVersion) and left untouched.
 func OpenFile(path string) (*File, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: open: %w", err)
 	}
-	j := &File{f: f}
-	good, torn, recs, err := scan(f)
+	recs, good, torn, err := scan(f)
 	if err != nil {
 		_ = f.Close()
 		return nil, err
 	}
-	j.recs = recs
-	j.torn = torn
+	j := &File{f: f, size: good, torn: torn}
 	if len(recs) > 0 {
 		j.seq = recs[len(recs)-1].Seq
 	}
@@ -52,75 +53,22 @@ func OpenFile(path string) (*File, error) {
 			return nil, fmt.Errorf("journal: truncate torn tail: %w", err)
 		}
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("journal: seek: %w", err)
-	}
 	return j, nil
 }
 
-// DecodeFrame reads one framed record from r. It returns the record and
-// the number of bytes its frame occupies. Any failure — clean EOF, a torn
-// header or body, a corrupt length, a checksum mismatch — returns a
-// non-nil error and must be treated as "the valid log ends here"; a tailer
-// that expects more data can re-seek to the last good offset and retry
-// once the writer has appended the rest of the frame.
-func DecodeFrame(r io.Reader) (Record, int64, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Record{}, 0, err // clean EOF or torn header
-	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	sum := binary.BigEndian.Uint32(hdr[4:8])
-	if n == 0 || n > 1<<24 {
-		return Record{}, 0, fmt.Errorf("journal: corrupt frame length %d", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Record{}, 0, fmt.Errorf("journal: torn body: %w", err)
-	}
-	if crc32.ChecksumIEEE(body) != sum {
-		return Record{}, 0, fmt.Errorf("journal: checksum mismatch")
-	}
-	var rec Record
-	if err := json.Unmarshal(body, &rec); err != nil {
-		return Record{}, 0, fmt.Errorf("journal: decode: %w", err)
-	}
-	return rec, 8 + int64(n), nil
-}
-
-// DecodeStream decodes every complete, checksummed record from the head
-// of r and returns them together with the byte offset where the valid log
-// ends. It is total: arbitrary garbage after (or instead of) the valid
-// prefix simply ends the decode — the WAL discipline that a record is in
-// the log iff its frame reads back complete and its checksum verifies.
-func DecodeStream(r io.Reader) (recs []Record, good int64) {
-	for {
-		rec, n, err := DecodeFrame(r)
-		if err != nil {
-			return recs, good
-		}
-		recs = append(recs, rec)
-		good += n
-	}
-}
-
-// scan reads every complete, checksummed record from r and returns the
-// byte offset where the valid log ends, the number of trailing bytes that
-// did not form a valid record, and the records.
-func scan(r io.ReadSeeker) (good int64, torn int64, recs []Record, err error) {
-	if _, err = r.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, nil, fmt.Errorf("journal: seek: %w", err)
-	}
-	end, err := r.Seek(0, io.SeekEnd)
+// scan reads every complete, checksummed record of f from the start and
+// returns them, the byte offset where the valid log ends, and the number
+// of trailing bytes that did not form a valid record.
+func scan(f *os.File) (recs []Record, good, torn int64, err error) {
+	info, err := f.Stat()
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("journal: seek: %w", err)
+		return nil, 0, 0, fmt.Errorf("journal: stat: %w", err)
 	}
-	if _, err = r.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, nil, fmt.Errorf("journal: seek: %w", err)
+	recs, good, err = DecodeStream(io.NewSectionReader(f, 0, info.Size()))
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("%s: %w at byte %d", f.Name(), err, good)
 	}
-	recs, good = DecodeStream(r)
-	return good, end - good, recs, nil
+	return recs, good, info.Size() - good, nil
 }
 
 // ReadFile loads the records of the journal at path without opening it
@@ -132,7 +80,7 @@ func ReadFile(path string) (recs []Record, torn int64, err error) {
 		return nil, 0, fmt.Errorf("journal: open: %w", err)
 	}
 	defer f.Close()
-	_, torn, recs, err = scan(f)
+	recs, _, torn, err = scan(f)
 	return recs, torn, err
 }
 
@@ -143,8 +91,8 @@ func (j *File) Torn() int64 {
 	return j.torn
 }
 
-// Append implements Journal: frame, checksum, write. Not durable until
-// Sync.
+// Append implements Journal: number the record and encode its frame into
+// the pending group. Nothing is written until Sync.
 func (j *File) Append(rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -153,60 +101,74 @@ func (j *File) Append(rec Record) error {
 	}
 	j.seq++
 	rec.Seq = j.seq
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal: encode: %w", err)
-	}
-	frame := make([]byte, 8+len(body))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
-	copy(frame[8:], body)
-	if _, err := j.f.Write(frame); err != nil {
-		return fmt.Errorf("journal: write: %w", err)
-	}
-	j.recs = append(j.recs, rec)
-	j.dirty = true
+	j.pending = AppendFrame(j.pending, rec)
 	return nil
 }
 
-// Sync implements Journal: fsync the file if anything was appended since
-// the last Sync.
+// Sync implements Journal: one write of the pending group, one fsync.
 func (j *File) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return fmt.Errorf("journal: closed")
 	}
-	if !j.dirty {
+	return j.flush()
+}
+
+// flush writes and fsyncs the pending group. The write is positioned at
+// the end of the synced log, so repeating it after a failure overwrites
+// whatever part of the group the failed attempt left behind.
+func (j *File) flush() error {
+	if len(j.pending) == 0 {
 		return nil
+	}
+	if _, err := j.f.WriteAt(j.pending, j.size); err != nil {
+		return fmt.Errorf("journal: write: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: fsync: %w", err)
 	}
-	j.dirty = false
+	j.size += int64(len(j.pending))
+	j.pending = j.pending[:0]
 	return nil
 }
 
-// Snapshot implements Journal.
+// Snapshot implements Journal: the synced records, read back from the
+// file in one buffered pass, followed by the pending tail — the log as the
+// next Sync will leave it. A reader of the file itself sees only the
+// former.
 func (j *File) Snapshot() ([]Record, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]Record, len(j.recs))
-	copy(out, j.recs)
-	return out, nil
+	if j.f == nil {
+		return nil, fmt.Errorf("journal: closed")
+	}
+	recs, good, err := DecodeStream(io.NewSectionReader(j.f, 0, j.size))
+	if err == nil && good != j.size {
+		err = fmt.Errorf("valid log ends at byte %d of %d", good, j.size)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("journal: snapshot: %w", err)
+	}
+	for tail := j.pending; len(tail) > 0; {
+		rec, n, err := DecodeFrame(tail)
+		if err != nil {
+			return nil, fmt.Errorf("journal: snapshot: pending tail: %w", err)
+		}
+		recs = append(recs, rec)
+		tail = tail[n:]
+	}
+	return recs, nil
 }
 
-// Close implements Journal: a final fsync, then release the file.
+// Close implements Journal: a final Sync, then release the file.
 func (j *File) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return nil
 	}
-	var err error
-	if j.dirty {
-		err = j.f.Sync()
-	}
+	err := j.flush()
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}

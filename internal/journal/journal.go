@@ -7,9 +7,10 @@
 // interrupted adaptation (manager.Recover).
 //
 // Two backends are provided. The file backend frames each record as
-// length + CRC32 + JSON, fsyncs on commit records, and tolerates a torn
-// tail on reopen (the classic WAL discipline: a record is in the log iff
-// its checksum verifies). The in-memory backend is deterministic and
+// length + CRC32 + a versioned binary body (codec.go), writes and fsyncs
+// the records appended since the last commit as one group, and tolerates
+// a torn tail on reopen (the classic WAL discipline: a record is in the
+// log iff its checksum verifies). The in-memory backend is deterministic and
 // carries crash fault hooks, so the explorer and the crash-torture tests
 // can kill the manager at every record boundary — and once mid-fsync —
 // without touching a disk.
@@ -26,15 +27,19 @@ import (
 type Kind string
 
 // Record kinds, in the order they appear during a healthy adaptation.
+// "Committed" marks the kinds the manager syncs on the spot because a
+// message send or Execute's return depends on them; every other record
+// becomes durable with the next committed one (manager.Manager.journal
+// states the rule).
 const (
-	// KindEpoch marks a manager (re)starting under a new epoch. Commit.
+	// KindEpoch marks a manager (re)starting under a new epoch. Committed.
 	KindEpoch Kind = "epoch"
-	// KindAdaptBegin opens an adaptation request (source → target). Commit.
+	// KindAdaptBegin opens an adaptation request (source → target).
 	KindAdaptBegin Kind = "adapt-begin"
-	// KindPlan records the chosen adaptation path. Commit.
+	// KindPlan records the chosen adaptation path.
 	KindPlan Kind = "plan"
 	// KindStepBegin opens one adaptation step; the full protocol step is
-	// stored so recovery can re-send any in-flight command. Commit.
+	// stored so recovery can re-send any in-flight command. Committed.
 	KindStepBegin Kind = "step-begin"
 	// KindWave marks a protocol wave starting (reset/adapt/resume).
 	KindWave Kind = "wave"
@@ -43,15 +48,15 @@ const (
 	KindAck Kind = "ack"
 	// KindPoNR marks the point of no return: it is committed durably
 	// BEFORE the first resume is sent, so a recovering manager knows
-	// whether the step must run to completion. Commit.
+	// whether the step must run to completion. Committed.
 	KindPoNR Kind = "ponr"
 	// KindRollback records the decision to roll the step back, committed
-	// before any rollback command is sent. Commit.
+	// before any rollback command is sent. Committed.
 	KindRollback Kind = "rollback"
-	// KindStepEnd closes a step with its outcome. Commit.
+	// KindStepEnd closes a step with its outcome.
 	KindStepEnd Kind = "step-end"
 	// KindAdaptEnd closes the adaptation (completed, returned-to-source,
-	// user-intervention, aborted). Commit.
+	// user-intervention, aborted). Committed.
 	KindAdaptEnd Kind = "adapt-end"
 )
 
@@ -123,11 +128,12 @@ type Journal interface {
 	// Append adds one record to the log. The record is not durable until
 	// the next successful Sync.
 	Append(rec Record) error
-	// Sync makes every appended record durable (fsync for the file
-	// backend). Commit records are Append+Sync.
+	// Sync makes every appended record durable (one write + fsync of the
+	// group for the file backend). A commit is Append+Sync.
 	Sync() error
 	// Snapshot returns a copy of every record currently in the log,
-	// including records loaded from disk on open.
+	// including records loaded from disk on open. It is a cold path: the
+	// file backend reads the log back from disk.
 	Snapshot() ([]Record, error)
 	// Close releases the journal. A final Sync is attempted.
 	Close() error

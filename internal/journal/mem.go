@@ -64,6 +64,14 @@ func (j *Mem) Appends() int {
 	return j.appends
 }
 
+// Unsynced returns a copy of the records appended since the last
+// successful Sync — what a crash at this instant would lose.
+func (j *Mem) Unsynced() []Record {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return append([]Record(nil), j.tail...)
+}
+
 // Append implements Journal.
 func (j *Mem) Append(rec Record) error {
 	if hook := j.AppendHook; hook != nil {

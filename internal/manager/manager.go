@@ -344,9 +344,24 @@ func New(ep transport.Endpoint, plan *planner.Planner, opts Options) (*Manager, 
 func (m *Manager) Epoch() uint64 { return m.epoch }
 
 // journal appends one record to the write-ahead log, stamped with the
-// manager's epoch; commit records additionally sync. A nil journal makes
-// this a no-op. Any error is fatal to the adaptation (fail-stop) and must
-// be propagated by the caller, not ignored.
+// manager's epoch, and with commit set makes the log durable up to and
+// including it. A nil journal makes this a no-op. Any error is fatal to
+// the adaptation (fail-stop) and must be propagated by the caller, not
+// ignored.
+//
+// The commit rule: a record is committed only where a message send, or
+// Execute's return, depends on it being durable — step-begin (the reset
+// wave), the point of no return (the resume wave), a rollback decision
+// (the rollback wave), the epoch (every message carries it) and adapt-end
+// (the caller acts on the result). Every other record rides the next of
+// those commits: adapt-begin and plan ride the first step-begin, a
+// step-end rides the next step-begin or adapt-end, a changed plan rides
+// the step-begin that follows it. So at every send the durable log is what
+// committing each record on its own would have left, and a crash can leave
+// only prefixes that per-record commits could leave too — recovery meets
+// no new state. Losing an unsynced step-end is the "crashed between the
+// point of no return and step-end" case: the successor re-drives a wave
+// the agents answer idempotently.
 func (m *Manager) journal(rec journal.Record, commit bool) error {
 	if m.jr == nil {
 		return nil
@@ -498,7 +513,7 @@ func (m *Manager) ExecuteContext(ctx context.Context, source, target model.Confi
 		Kind:   journal.KindAdaptBegin,
 		Source: reg.BitVector(source),
 		Target: reg.BitVector(target),
-	}, true); jerr != nil {
+	}, false); jerr != nil {
 		return res, jerr
 	}
 	planSpan := span.Child("plan")
@@ -517,7 +532,7 @@ func (m *Manager) ExecuteContext(ctx context.Context, source, target model.Confi
 	planSpan.SetAttr("map", path.String())
 	planSpan.End()
 	m.logf("MAP: %s", path)
-	if jerr := m.journal(journal.Record{Kind: journal.KindPlan, Detail: path.String()}, true); jerr != nil {
+	if jerr := m.journal(journal.Record{Kind: journal.KindPlan, Detail: path.String()}, false); jerr != nil {
 		return res, jerr
 	}
 
@@ -578,7 +593,7 @@ func (m *Manager) ExecuteContext(ctx context.Context, source, target model.Confi
 			m.logf("switching to alternative path: %s", alt)
 			m.tel.Counter("manager.alternative_paths").Inc()
 			path = alt
-			if jerr := m.journal(journal.Record{Kind: journal.KindPlan, Detail: "alternative: " + alt.String()}, true); jerr != nil {
+			if jerr := m.journal(journal.Record{Kind: journal.KindPlan, Detail: "alternative: " + alt.String()}, false); jerr != nil {
 				return res, jerr
 			}
 			continue
@@ -588,7 +603,7 @@ func (m *Manager) ExecuteContext(ctx context.Context, source, target model.Confi
 		m.logf("no alternative path; attempting return to source")
 		back, backErr := m.plan.Plan(current, source)
 		if backErr == nil {
-			if jerr := m.journal(journal.Record{Kind: journal.KindPlan, Detail: "return to source: " + back.String()}, true); jerr != nil {
+			if jerr := m.journal(journal.Record{Kind: journal.KindPlan, Detail: "return to source: " + back.String()}, false); jerr != nil {
 				return res, jerr
 			}
 			completed, reached, reports, backStepErr := m.executePath(ctx, span, back, current, &attempt)

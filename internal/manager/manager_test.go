@@ -120,12 +120,21 @@ func newStack(t *testing.T, plan *planner.Planner, opts manager.Options) *stack 
 // newStackCustom builds the stack with per-process overrides; processes
 // not named in overrides get a fresh scriptedProc.
 func newStackCustom(t *testing.T, plan *planner.Planner, opts manager.Options, overrides map[string]agentProc) *stack {
+	return newStackOver(t, plan, opts, overrides, nil)
+}
+
+// newStackOver is newStackCustom with the manager's endpoint passed
+// through wrap (when non-nil), so a test can watch what the manager sends.
+func newStackOver(t *testing.T, plan *planner.Planner, opts manager.Options, overrides map[string]agentProc, wrap func(transport.Endpoint) transport.Endpoint) *stack {
 	t.Helper()
 	bus := transport.NewBus()
 	bus.SetTelemetry(opts.Telemetry) // one registry for the whole stack
 	mgrEP, err := bus.Endpoint(protocol.ManagerName)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if wrap != nil {
+		mgrEP = wrap(mgrEP)
 	}
 	if opts.StepTimeout == 0 {
 		opts.StepTimeout = 250 * time.Millisecond
@@ -334,9 +343,11 @@ func TestUserInterventionWhenStuck(t *testing.T) {
 	}
 }
 
-// TestReturnToSource: with inverse actions available, a system that
-// cannot reach the target returns to the source (ladder rung 3).
-func TestReturnToSource(t *testing.T) {
+// twoLegPlanner builds a two-process system whose adaptation {A,C} →
+// {B,D} takes two legs, each with an inverse action — the smallest one
+// where a failed second leg can be answered by returning to the source.
+func twoLegPlanner(t *testing.T) (*planner.Planner, *model.Registry) {
+	t.Helper()
 	reg := model.MustRegistry(
 		model.Component{Name: "A", Process: "p1"},
 		model.Component{Name: "B", Process: "p1"},
@@ -365,6 +376,13 @@ func TestReturnToSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return plan, reg
+}
+
+// TestReturnToSource: with inverse actions available, a system that
+// cannot reach the target returns to the source (ladder rung 3).
+func TestReturnToSource(t *testing.T) {
+	plan, reg := twoLegPlanner(t)
 	s := newStack(t, plan, manager.Options{})
 	// The second leg always fails: target {B,D} is unreachable, but the
 	// first leg is reversible via F1r.

@@ -136,7 +136,7 @@ func (m *Manager) executeStep(ctx context.Context, parent *telemetry.Span, step 
 		m.transition(StateRunning, "[failure] / rollback")
 		rep.Outcome = "rolled back"
 		rep.Err = why
-		if jerr := m.journal(journal.Record{Kind: journal.KindStepEnd, Step: pstep, Outcome: "rolled back", Detail: why}, true); jerr != nil {
+		if jerr := m.journal(journal.Record{Kind: journal.KindStepEnd, Step: pstep, Outcome: "rolled back", Detail: why}, false); jerr != nil {
 			return rep, jerr
 		}
 		if cerr := ctx.Err(); cerr != nil {
@@ -283,7 +283,7 @@ func (m *Manager) executeStep(ctx context.Context, parent *telemetry.Span, step 
 		if len(pending) == 0 {
 			m.transition(StateResumed, `receive all "resume done"`)
 			rep.Outcome = "completed"
-			if jerr := m.journal(journal.Record{Kind: journal.KindStepEnd, Step: pstep, Outcome: "completed"}, true); jerr != nil {
+			if jerr := m.journal(journal.Record{Kind: journal.KindStepEnd, Step: pstep, Outcome: "completed"}, false); jerr != nil {
 				rep.Err = jerr.Error()
 				return rep, jerr
 			}
@@ -297,7 +297,7 @@ func (m *Manager) executeStep(ctx context.Context, parent *telemetry.Span, step 
 	resumeSpan.SetErrorText("resume not confirmed")
 	rep.Outcome = "failed"
 	rep.Err = fmt.Sprintf("resume not confirmed by %d agent(s)", len(pending))
-	_ = m.journal(journal.Record{Kind: journal.KindStepEnd, Step: pstep, Outcome: "failed", Detail: rep.Err}, true)
+	_ = m.journal(journal.Record{Kind: journal.KindStepEnd, Step: pstep, Outcome: "failed", Detail: rep.Err}, false)
 	return rep, &errPastNoReturn{why: rep.Err}
 }
 

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"strings"
 	"testing"
@@ -46,6 +47,46 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if len(got.Step.ResetPhases) != 2 {
 		t.Errorf("phases mismatch: %+v", got.Step.ResetPhases)
+	}
+}
+
+// writeCounter counts the Write calls a frame costs its connection.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameIsOneWrite: header and body reach the connection in one
+// Write — one system call and one TCP segment per message — with the body
+// byte for byte json.Marshal's, and the encode costs at most the one
+// allocation the two-write version already paid.
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	msg := sampleMessage()
+	var w writeCounter
+	if err := WriteFrame(&w, msg); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 1 {
+		t.Fatalf("one frame took %d writes", w.writes)
+	}
+	body, err := json.Marshal(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte{0, 0, byte(len(body) >> 8), byte(len(body))}, body...)
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("wire bytes changed:\n got  %q\n want %q", w.Bytes(), want)
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(200, func() { _ = WriteFrame(io.Discard, msg) }); n > 1 {
+		t.Fatalf("WriteFrame allocates %.0f times per message, want at most 1", n)
 	}
 }
 

@@ -283,30 +283,45 @@ func TestApplierStateIsDeepCopy(t *testing.T) {
 // TestFrameCodec: round trip, torn tail, and checksum corruption over the
 // replication stream's length+CRC32 framing.
 func TestFrameCodec(t *testing.T) {
-	var buf bytes.Buffer
 	want := frame{Type: frameRecords, Recs: someRecords(2), Batch: 7, TTLMillis: 250}
-	if err := writeFrame(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	raw := append([]byte{}, buf.Bytes()...)
-
-	got, err := readFrame(bytes.NewReader(raw))
+	raw, err := appendFrame(nil, want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Type != want.Type || got.Batch != want.Batch || len(got.Recs) != 2 {
-		t.Fatalf("round trip mangled the frame: %+v", got)
+	read := func(b []byte) (frame, error) { return newFrameReader(bytes.NewReader(b)).read() }
+
+	got, err := read(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip mangled the frame:\n got  %+v\n want %+v", got, want)
+	}
+	for _, f := range []frame{
+		{Type: frameHello, Name: "standby-1", Rank: 2},
+		{Type: frameSnapshot, TTLMillis: 1000},
+		{Type: frameAck, Batch: 1 << 40},
+		{Type: frameLease, TTLMillis: 30000},
+		{Type: frameDetach, Reason: "journal closed"},
+	} {
+		raw, err := appendFrame(nil, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := read(raw); err != nil || !reflect.DeepEqual(got, f) {
+			t.Errorf("frame %+v read back as %+v, %v", f, got, err)
+		}
 	}
 
-	if _, err := readFrame(bytes.NewReader(raw[:len(raw)-3])); err == nil {
+	if _, err := read(raw[:len(raw)-3]); err == nil {
 		t.Error("torn frame should fail to decode")
 	}
 	flipped := append([]byte{}, raw...)
 	flipped[len(flipped)-1] ^= 0xff
-	if _, err := readFrame(bytes.NewReader(flipped)); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, err := read(flipped); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("corrupted body error = %v, want checksum mismatch", err)
 	}
-	if _, err := readFrame(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
+	if _, err := read(nil); !errors.Is(err, io.EOF) {
 		t.Errorf("empty stream error = %v, want io.EOF", err)
 	}
 }

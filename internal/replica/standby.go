@@ -46,6 +46,8 @@ type StandbyOptions struct {
 type Standby struct {
 	opts    StandbyOptions
 	conn    net.Conn
+	in      *frameReader // stream goroutine only, once ConnectStandby returns
+	out     *frameWriter
 	applier *Applier
 	tel     *telemetry.Registry
 
@@ -80,11 +82,13 @@ func ConnectStandby(addr string, opts StandbyOptions) (*Standby, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replica: dial leader: %w", err)
 	}
-	if err := writeFrame(conn, frame{Type: frameHello, Name: opts.Name, Rank: opts.Rank}); err != nil {
+	out := &frameWriter{w: conn}
+	if _, err := out.write(frame{Type: frameHello, Name: opts.Name, Rank: opts.Rank}); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
-	snap, err := readFrame(conn)
+	in := newFrameReader(conn)
+	snap, err := in.read()
 	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("replica: snapshot: %w", err)
@@ -96,6 +100,8 @@ func ConnectStandby(addr string, opts StandbyOptions) (*Standby, error) {
 	s := &Standby{
 		opts:       opts,
 		conn:       conn,
+		in:         in,
+		out:        out,
 		applier:    &Applier{},
 		tel:        opts.Telemetry,
 		ttl:        opts.LeaseTTL,
@@ -160,7 +166,7 @@ func (s *Standby) run() {
 	defer s.wg.Done()
 	defer close(s.done)
 	for {
-		f, err := readFrame(s.conn)
+		f, err := s.in.read()
 		if err != nil {
 			return
 		}
@@ -181,7 +187,7 @@ func (s *Standby) run() {
 				_ = s.conn.Close()
 				return
 			}
-			if err := writeFrame(s.conn, frame{Type: frameAck, Batch: f.Batch}); err != nil {
+			if _, err := s.out.write(frame{Type: frameAck, Batch: f.Batch}); err != nil {
 				return
 			}
 		case frameDetach:

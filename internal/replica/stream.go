@@ -1,8 +1,8 @@
 package replica
 
 import (
+	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -16,85 +16,209 @@ import (
 )
 
 // The replication stream reuses the journal's wire discipline: each frame
-// is [4-byte big-endian length][4-byte CRC32-IEEE of body][JSON body]. A
-// frame is in the stream iff its checksum verifies, so a torn TCP tail is
+// is [4-byte big-endian length][4-byte CRC32-IEEE of body][body]. A frame
+// is in the stream iff its checksum verifies, so a torn TCP tail is
 // indistinguishable from a torn file tail and handled the same way —
-// truncated, never interpreted.
+// dropped, never interpreted.
+//
+// A body is one type byte followed by every field of frame in declaration
+// order (strings and counts length-prefixed, integers as varints), and the
+// records of a snapshot or records frame travel as the journal's own
+// frames (journal.AppendFrame), each under its own checksum: what the
+// standby decodes is byte for byte what the leader's file holds.
 
 // frameType tags a replication frame.
-type frameType string
+type frameType byte
 
 const (
 	// frameHello is the standby's registration (name + election rank).
-	frameHello frameType = "hello"
+	frameHello frameType = iota + 1
 	// frameSnapshot carries the leader's full durable log on attach.
-	frameSnapshot frameType = "snapshot"
+	frameSnapshot
 	// frameRecords carries one committed batch; the standby must apply it
 	// durably and answer with a frameAck echoing Batch.
-	frameRecords frameType = "records"
+	frameRecords
 	// frameAck acknowledges a records batch (standby → leader).
-	frameAck frameType = "ack"
+	frameAck
 	// frameLease renews the leader's lease; TTLMillis announces the
 	// horizon after which a standby that heard nothing may take over.
-	frameLease frameType = "lease"
+	frameLease
 	// frameDetach tells the standby it was dropped (or the leader is
 	// closing cleanly); a detached standby must not take over.
-	frameDetach frameType = "detach"
+	frameDetach
 )
 
 // frame is one replication-stream message.
 type frame struct {
-	Type      frameType        `json:"type"`
-	Name      string           `json:"name,omitempty"`
-	Rank      int              `json:"rank,omitempty"`
-	Recs      []journal.Record `json:"recs,omitempty"`
-	Batch     uint64           `json:"batch,omitempty"`
-	TTLMillis int64            `json:"ttlMillis,omitempty"`
-	Reason    string           `json:"reason,omitempty"`
+	Type      frameType
+	Name      string
+	Rank      int
+	Batch     uint64
+	TTLMillis int64
+	Reason    string
+	Recs      []journal.Record
 }
 
-// writeFrame writes one length+CRC32+JSON frame.
-func writeFrame(w io.Writer, f frame) error {
-	body, err := json.Marshal(f)
+const (
+	frameHeader  = 8
+	maxFrameBody = 1 << 24
+)
+
+// appendFrame appends f's frame to dst.
+func appendFrame(dst []byte, f frame) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, byte(f.Type))
+	dst = appendString(dst, f.Name)
+	dst = binary.AppendVarint(dst, int64(f.Rank))
+	dst = binary.AppendUvarint(dst, f.Batch)
+	dst = binary.AppendVarint(dst, f.TTLMillis)
+	dst = appendString(dst, f.Reason)
+	dst = binary.AppendUvarint(dst, uint64(len(f.Recs)))
+	for _, rec := range f.Recs {
+		dst = journal.AppendFrame(dst, rec)
+	}
+	body := dst[start+frameHeader:]
+	if len(body) > maxFrameBody {
+		return dst[:start], fmt.Errorf("replica: frame too large (%d bytes)", len(body))
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(body)))
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(body))
+	return dst, nil
+}
+
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// frameWriter sends frames down one connection, each encoded once into a
+// reused buffer and handed to the connection in one Write.
+type frameWriter struct {
+	mu  sync.Mutex // serializes records/lease/detach frames
+	w   io.Writer
+	buf []byte
+}
+
+// write sends one frame and returns its size on the wire.
+func (fw *frameWriter) write(f frame) (int, error) {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	buf, err := appendFrame(fw.buf[:0], f)
+	fw.buf = buf[:0]
 	if err != nil {
-		return fmt.Errorf("replica: encode: %w", err)
+		return 0, err
 	}
-	if len(body) > 1<<24 {
-		return fmt.Errorf("replica: frame too large (%d bytes)", len(body))
+	if _, err := fw.w.Write(buf); err != nil {
+		return 0, fmt.Errorf("replica: write: %w", err)
 	}
-	buf := make([]byte, 8+len(body))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(body))
-	copy(buf[8:], body)
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("replica: write: %w", err)
-	}
-	return nil
+	return len(buf), nil
 }
 
-// readFrame reads one frame, verifying length and checksum.
-func readFrame(r io.Reader) (frame, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader reads frames from one connection through one buffered
+// reader and one reused body buffer.
+type frameReader struct {
+	r    *bufio.Reader
+	hdr  [frameHeader]byte
+	body []byte
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReader(r)}
+}
+
+// read reads one frame, verifying length and checksum.
+func (fr *frameReader) read() (frame, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return frame{}, err // io.EOF passes through for clean shutdown
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	sum := binary.BigEndian.Uint32(hdr[4:8])
-	if n == 0 || n > 1<<24 {
+	n := binary.BigEndian.Uint32(fr.hdr[0:4])
+	sum := binary.BigEndian.Uint32(fr.hdr[4:8])
+	if n == 0 || n > maxFrameBody {
 		return frame{}, fmt.Errorf("replica: invalid frame length %d", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if uint32(cap(fr.body)) < n {
+		fr.body = make([]byte, n)
+	}
+	fr.body = fr.body[:n]
+	if _, err := io.ReadFull(fr.r, fr.body); err != nil {
 		return frame{}, fmt.Errorf("replica: read body: %w", err)
 	}
-	if crc32.ChecksumIEEE(body) != sum {
+	if crc32.ChecksumIEEE(fr.body) != sum {
 		return frame{}, fmt.Errorf("replica: frame checksum mismatch")
 	}
-	var f frame
-	if err := json.Unmarshal(body, &f); err != nil {
-		return frame{}, fmt.Errorf("replica: decode: %w", err)
+	return decodeFrame(fr.body)
+}
+
+// decodeFrame decodes a checksummed frame body. Nothing it returns
+// aliases body.
+func decodeFrame(body []byte) (frame, error) {
+	d := fieldReader{b: body[1:]}
+	f := frame{Type: frameType(body[0])}
+	f.Name = d.string()
+	f.Rank = int(d.varint())
+	f.Batch = d.uvarint()
+	f.TTLMillis = d.varint()
+	f.Reason = d.string()
+	// A record's frame is at least its header, which keeps a hostile
+	// count from sizing the allocation.
+	if n := d.uvarint(); n > uint64(len(d.b)/frameHeader) {
+		d.bad = true
+	} else if n > 0 {
+		f.Recs = make([]journal.Record, n)
+	}
+	for i := range f.Recs {
+		rec, n, err := journal.DecodeFrame(d.b)
+		if err != nil {
+			return frame{}, fmt.Errorf("replica: record %d of %d: %w", i+1, len(f.Recs), err)
+		}
+		f.Recs[i] = rec
+		d.b = d.b[n:]
+	}
+	if d.bad || len(d.b) != 0 {
+		return frame{}, fmt.Errorf("replica: malformed %d-byte frame body", len(body))
 	}
 	return f, nil
+}
+
+// fieldReader consumes a frame body's scalar fields. The first malformed
+// one sets bad and every later read returns zero, so decodeFrame checks
+// once.
+type fieldReader struct {
+	b   []byte
+	bad bool
+}
+
+func (d *fieldReader) consumed(n int) {
+	if n <= 0 {
+		d.bad = true
+		d.b = nil
+		return
+	}
+	d.b = d.b[n:]
+}
+
+func (d *fieldReader) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	d.consumed(n)
+	return v
+}
+
+func (d *fieldReader) varint() int64 {
+	v, n := binary.Varint(d.b)
+	d.consumed(n)
+	return v
+}
+
+func (d *fieldReader) string() string {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.bad = true
+		d.b = nil
+		return ""
+	}
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
 }
 
 // LeaderOptions configures the leader's replication listener.
@@ -210,7 +334,8 @@ func (l *Leader) serveConn(conn net.Conn) {
 		_ = conn.Close()
 	}()
 
-	hello, err := readFrame(conn)
+	in := newFrameReader(conn)
+	hello, err := in.read()
 	if err != nil || hello.Type != frameHello {
 		return
 	}
@@ -218,6 +343,7 @@ func (l *Leader) serveConn(conn net.Conn) {
 
 	sink := &tcpSink{
 		conn:    conn,
+		out:     frameWriter{w: conn},
 		name:    hello.Name,
 		timeout: l.opts.AckTimeout,
 		ttl:     l.opts.LeaseTTL,
@@ -262,7 +388,7 @@ func (l *Leader) serveConn(conn net.Conn) {
 	}()
 
 	for {
-		f, err := readFrame(conn)
+		f, err := in.read()
 		if err != nil {
 			return // standby gone; next Commit write fails and detaches it
 		}
@@ -279,6 +405,7 @@ func (l *Leader) serveConn(conn net.Conn) {
 // tcpSink is the leader's handle on one connected standby.
 type tcpSink struct {
 	conn    net.Conn
+	out     frameWriter
 	name    string
 	timeout time.Duration
 	ttl     time.Duration
@@ -286,31 +413,25 @@ type tcpSink struct {
 	tel     *telemetry.Registry
 	clock   transport.Clock
 
-	writeMu sync.Mutex // serializes records/lease/detach frames
-	batch   uint64
+	batch uint64
 }
 
 // write sends one frame under the write serializer.
 func (s *tcpSink) write(f frame) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	return writeFrame(s.conn, f)
+	_, err := s.out.write(f)
+	return err
 }
 
-// Commit implements Sink: send the batch, wait for its ack. The observed
-// byte size feeds the lag gauge while the ack is outstanding.
+// Commit implements Sink: send the batch, wait for its ack. The frame's
+// size feeds the lag gauge while the ack is outstanding.
 func (s *tcpSink) Commit(recs []journal.Record) error {
 	s.batch++
-	f := frame{Type: frameRecords, Recs: recs, Batch: s.batch, TTLMillis: s.ttl.Milliseconds()}
-	body, err := json.Marshal(f)
-	if err != nil {
-		return fmt.Errorf("replica: encode batch: %w", err)
-	}
-	s.tel.Gauge("replica.lag_bytes").Set(int64(len(body)))
 	start := s.clock.Now()
-	if err := s.write(f); err != nil {
+	n, err := s.out.write(frame{Type: frameRecords, Recs: recs, Batch: s.batch, TTLMillis: s.ttl.Milliseconds()})
+	if err != nil {
 		return fmt.Errorf("replica: standby %q: %w", s.name, err)
 	}
+	s.tel.Gauge("replica.lag_bytes").Set(int64(n))
 	deadline := time.NewTimer(s.timeout)
 	defer deadline.Stop()
 	for {
