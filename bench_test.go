@@ -6,7 +6,7 @@
 //	BenchmarkFigure4SAGBuild          Fig. 4   — SAG construction
 //	BenchmarkMAPDijkstra              Sec. 5.1 — minimum adaptation path
 //	BenchmarkMAPKShortest             Sec. 4.4 — alternative paths (Yen)
-//	BenchmarkMAPLazy                  Sec. 7   — lazy partial-SAG planning
+//	BenchmarkMAPAStar                 Sec. 7   — partial-SAG planning (A*)
 //	BenchmarkPaperScenarioRealization Sec. 5.2 — protocol execution of the MAP
 //	BenchmarkRealizationOverTCP       Sec. 5.2 — same, on real TCP connections
 //	BenchmarkCrashRecoveryOverTCP     Sec. 4.4 — manager failover via journal replay
@@ -14,7 +14,7 @@
 //	BenchmarkFTDCCapture              always-on capture overhead (off vs 1 Hz vs 10 Hz)
 //	BenchmarkAdaptationStrategies     claim    — safe vs unsafe under live video
 //	BenchmarkAblationCompoundOnly     Table 2  — compound-only planning cost
-//	BenchmarkScalabilitySAG           Sec. 7   — eager vs lazy vs decomposed growth
+//	BenchmarkScalabilitySAG           Sec. 7   — eager vs A* vs decomposed growth
 //	Benchmark{Cipher,MetaSocket,VideoPipeline} — substrate throughput
 package safeadapt_test
 
@@ -151,9 +151,9 @@ func BenchmarkMAPKShortest(b *testing.B) {
 	}
 }
 
-// BenchmarkMAPLazy measures the partial-exploration planner (Sec. 7) on
+// BenchmarkMAPAStar measures the partial-exploration planner (Sec. 7) on
 // the case study.
-func BenchmarkMAPLazy(b *testing.B) {
+func BenchmarkMAPAStar(b *testing.B) {
 	sys, err := safeadapt.PaperCaseStudy()
 	if err != nil {
 		b.Fatal(err)
@@ -161,9 +161,9 @@ func BenchmarkMAPLazy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		path, err := sys.PlanLazy(sys.Source(), sys.Target())
+		path, err := sys.PlanAStar(sys.Source(), sys.Target())
 		if err != nil || path.Cost() != 50*time.Millisecond {
-			b.Fatalf("lazy: %v %v", path.Cost(), err)
+			b.Fatalf("astar: %v %v", path.Cost(), err)
 		}
 	}
 }
@@ -328,7 +328,7 @@ func BenchmarkRealizationOverTCP(b *testing.B) {
 		}
 		var agents []*agent.Agent
 		for _, name := range scenario.Registry.Processes() {
-			ep, err := transport.DialTCP(name, mgrEP.Addr())
+			ep, err := transport.DialReconnectingTCP(name, transport.NewAddrRing(mgrEP.Addr()).Next, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -424,7 +424,7 @@ func BenchmarkCrashRecoveryOverTCP(b *testing.B) {
 			return addr
 		}
 		var agents []*agent.Agent
-		var eps []*transport.ReconnectingAgent
+		var eps []*transport.MuxEndpoint
 		for _, name := range scenario.Registry.Processes() {
 			ep, err := transport.DialReconnectingTCP(name, addrOf, 2*time.Millisecond)
 			if err != nil {
@@ -559,7 +559,7 @@ func BenchmarkAblationCompoundOnly(b *testing.B) {
 	b.ResetTimer()
 	var cost time.Duration
 	for i := 0; i < b.N; i++ {
-		path, err := p.PlanLazy(scenario.Source, scenario.Target)
+		path, err := p.PlanAStar(scenario.Source, scenario.Target)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -610,9 +610,9 @@ func syntheticSystem(b *testing.B, pairs int) (*invariant.Set, []action.Action, 
 }
 
 // BenchmarkScalabilitySAG sweeps system size and compares the eager
-// SAG+Dijkstra pipeline against lazy search and collaborative-set
+// SAG+Dijkstra pipeline against A* search and collaborative-set
 // decomposition. The eager pipeline's cost grows with the 2^pairs safe
-// set; lazy and decomposed stay tractable (Sec. 7).
+// set; decomposed stays tractable (Sec. 7).
 func BenchmarkScalabilitySAG(b *testing.B) {
 	for _, pairs := range []int{4, 6, 8, 10, 12} {
 		set, actions, src, tgt := syntheticSystem(b, pairs)
@@ -628,20 +628,6 @@ func BenchmarkScalabilitySAG(b *testing.B) {
 				path, err := p.Plan(src, tgt)
 				if err != nil || path.Cost() != want {
 					b.Fatalf("eager: %v %v", path.Cost(), err)
-				}
-			}
-		})
-		b.Run("lazy/pairs="+strconv.Itoa(pairs), func(b *testing.B) {
-			p, err := planner.New(set, actions)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				path, err := p.PlanLazy(src, tgt)
-				if err != nil || path.Cost() != want {
-					b.Fatalf("lazy: %v %v", path.Cost(), err)
 				}
 			}
 		})

@@ -92,7 +92,7 @@ func runFleet(agents, fanout int) error {
 	fmt.Printf("aggregated acks: %d  forwarded acks: %d  unattributed mux drops: %d\n",
 		snap.Counters["fleet.acks.aggregated"],
 		snap.Counters["fleet.acks.forwarded"],
-		snap.Counters["transport.mux.unattributed_drops"])
+		snap.Counters["transport.tcp.unattributed_drops"])
 
 	// The flat-versus-hierarchical curve on the deterministic simulator:
 	// identical scenario, identical seed, only the plane shape differs.

@@ -73,7 +73,7 @@ func wireTCP(opts baseline.ExperimentOptions, tel *telemetry.Registry, logf func
 		_ = mgrEP.Close()
 	}
 	for name, proc := range sys.Processes() {
-		ep, err := transport.DialTCP(name, mgrEP.Addr())
+		ep, err := transport.DialReconnectingTCP(name, transport.NewAddrRing(mgrEP.Addr()).Next, 0)
 		if err != nil {
 			cleanup()
 			return nil, err

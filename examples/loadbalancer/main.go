@@ -1,7 +1,7 @@
 // Loadbalancer: planning a coordinated upgrade across a three-process
 // service with *decomposable* concerns, demonstrating the scalability
 // techniques of the paper's Sec. 7 — collaborative-set decomposition and
-// lazy (partial-SAG) planning.
+// partial-SAG (A*) planning.
 //
 // The system runs a balancer with two policy components and two worker
 // pools with versioned handlers. The balancing policy and each pool's
@@ -64,7 +64,7 @@ func run() error {
 		fmt.Printf("  set %d: %s\n", i+1, strings.Join(set, ", "))
 	}
 
-	// Whole-system planning (eager SAG) and lazy planning agree...
+	// Whole-system planning (eager SAG) and partial-SAG planning agree...
 	eagerStart := time.Now()
 	flat, err := sys.Plan(sys.Source(), sys.Target())
 	if err != nil {
@@ -72,15 +72,15 @@ func run() error {
 	}
 	eager := time.Since(eagerStart)
 
-	lazyStart := time.Now()
-	lazy, err := sys.PlanLazy(sys.Source(), sys.Target())
+	astarStart := time.Now()
+	astar, err := sys.PlanAStar(sys.Source(), sys.Target())
 	if err != nil {
 		return err
 	}
-	lazyTook := time.Since(lazyStart)
+	astarTook := time.Since(astarStart)
 
 	fmt.Printf("\nflat MAP (eager SAG, %v):   %s\n", eager.Round(time.Microsecond), flat)
-	fmt.Printf("flat MAP (lazy search, %v): %s\n", lazyTook.Round(time.Microsecond), lazy)
+	fmt.Printf("flat MAP (A* search, %v):   %s\n", astarTook.Round(time.Microsecond), astar)
 
 	// ...and decomposed planning yields the same total cost while only
 	// ever looking at one collaborative set at a time. Note the planner

@@ -26,8 +26,9 @@ import (
 // Deployment is a running safe-adaptation control plane: one manager and
 // one agent per process, wired over an in-memory bus (single OS process)
 // — the common shape for simulations, tests, and the examples. For true
-// multi-host deployments, assemble transport.TCPManager/TCPAgent
-// endpoints manually with the same planner/agent/manager packages.
+// multi-host deployments, assemble transport.ListenTCP and
+// transport.DialReconnectingTCP endpoints manually with the same
+// planner/agent/manager packages.
 type Deployment struct {
 	planner *planner.Planner
 	manager *manager.Manager

@@ -115,7 +115,7 @@ func TestDeploymentOverTCPWithVideo(t *testing.T) {
 	}
 	var agents []*agent.Agent
 	for name, proc := range sys.Processes() {
-		ep, err := transport.DialTCP(name, mgrEP.Addr())
+		ep, err := transport.DialReconnectingTCP(name, transport.NewAddrRing(mgrEP.Addr()).Next, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

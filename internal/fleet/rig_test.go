@@ -68,7 +68,7 @@ func TestFleetAdaptationOverTCP(t *testing.T) {
 	if snap.Counters["fleet.acks.aggregated"] == 0 {
 		t.Fatal("no acks were aggregated — the plane degenerated to forwarding")
 	}
-	if snap.Counters["transport.mux.unattributed_drops"] != 0 {
-		t.Fatalf("unattributed frames: %d", snap.Counters["transport.mux.unattributed_drops"])
+	if snap.Counters["transport.tcp.unattributed_drops"] != 0 {
+		t.Fatalf("unattributed frames: %d", snap.Counters["transport.tcp.unattributed_drops"])
 	}
 }

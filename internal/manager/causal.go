@@ -59,8 +59,8 @@ func (m *Manager) send(msg protocol.Message, cause *telemetry.Span) error {
 
 // sendWave stamps every message of one wave in slice order and fires the
 // wave as a unit: when the transport can batch (transport.BatchSender —
-// the mux hub and the fleet plane), the whole wave leaves as one frame
-// per child link; otherwise the sends are pipelined back-to-back without
+// the TCP hub and the fleet plane), messages that share a child link leave
+// as one frame; otherwise the sends are pipelined back-to-back without
 // awaiting anything in between. Either way no ack is read until the whole
 // wave is in flight, which is what turns the old send→await-per-agent
 // O(n) serial round into one fan-out. Per-message failures are treated as

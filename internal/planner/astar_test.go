@@ -86,7 +86,7 @@ func TestPlanAStarNoActions(t *testing.T) {
 }
 
 // TestPropertyAStarOptimalOnRandomSystems builds random pair systems with
-// random costs and cross-checks A* against the lazy uniform-cost search.
+// random costs and cross-checks A* against the eager SAG+Dijkstra pipeline.
 func TestPropertyAStarOptimalOnRandomSystems(t *testing.T) {
 	f := func(costs [4]uint8, srcBits, tgtBits uint8) bool {
 		reg := model.MustRegistry(
@@ -123,15 +123,15 @@ func TestPropertyAStarOptimalOnRandomSystems(t *testing.T) {
 			return reg.MustConfigOf(names...)
 		}
 		src, tgt := pick(srcBits), pick(tgtBits)
-		lazy, errL := p.PlanLazy(src, tgt)
+		eager, errE := p.Plan(src, tgt)
 		astar, errA := p.PlanAStar(src, tgt)
-		if (errL == nil) != (errA == nil) {
+		if (errE == nil) != (errA == nil) {
 			return false
 		}
-		if errL != nil {
+		if errE != nil {
 			return true
 		}
-		return lazy.Cost() == astar.Cost()
+		return eager.Cost() == astar.Cost()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -49,7 +49,7 @@ func (d DecomposedPlan) Steps() []sag.Edge {
 
 // PlanDecomposed partitions the components into collaborative sets
 // (connected components of the invariant co-occurrence graph), and plans
-// each set independently with lazy search over the sub-registry. An
+// each set independently with A* search over the sub-registry. An
 // action belongs to the set that contains its components; actions
 // spanning two sets make decomposition unsound and cause an error.
 //
@@ -125,8 +125,8 @@ func (p *Planner) PlanDecomposed(source, target model.Config) (DecomposedPlan, e
 	return plan, nil
 }
 
-// planMasked is PlanLazy restricted to a subset of actions.
+// planMasked is PlanAStar restricted to a subset of actions.
 func (p *Planner) planMasked(source, target model.Config, acts []action.Action) (sag.Path, error) {
 	sub := &Planner{reg: p.reg, invs: p.invs, actions: acts, now: p.now}
-	return sub.PlanLazy(source, target)
+	return sub.PlanAStar(source, target)
 }

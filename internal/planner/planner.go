@@ -2,12 +2,11 @@
 // adaptation process (paper Sec. 4.2): constructing the safe configuration
 // set, building the safe adaptation graph, and finding minimum adaptation
 // paths — plus replanning for the failure-recovery ladder (Sec. 4.4) and
-// the scalability extensions sketched in Sec. 7 (lazy partial SAG
-// exploration and collaborative-set decomposition).
+// the scalability extensions sketched in Sec. 7 (partial SAG exploration
+// and collaborative-set decomposition).
 package planner
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -30,7 +29,7 @@ type Planner struct {
 
 	// tel, when non-nil, records the detection-and-setup timings the
 	// paper reports (Sec. 5.1): safe-set enumeration, SAG construction,
-	// Dijkstra/lazy/k-shortest search, and cache effectiveness.
+	// Dijkstra/A*/k-shortest search, and cache effectiveness.
 	tel *telemetry.Registry
 
 	// Cached results of the eager pipeline. Populated lazily.
@@ -210,104 +209,4 @@ func (p *Planner) checkSafe(role string, c model.Config) error {
 			role, p.reg.BitVector(c), viol[0].Name)
 	}
 	return nil
-}
-
-// PlanLazy finds the minimum adaptation path without materializing the
-// full safe configuration set or SAG: it runs uniform-cost search from the
-// source, generating successors by applying actions and testing invariant
-// satisfaction on the fly. This is the partial-exploration strategy the
-// paper proposes for scalability (Sec. 7); it explores only configurations
-// whose path cost does not exceed the MAP cost.
-func (p *Planner) PlanLazy(source, target model.Config) (sag.Path, error) {
-	if err := p.checkSafe("source", source); err != nil {
-		return sag.Path{}, err
-	}
-	if err := p.checkSafe("target", target); err != nil {
-		return sag.Path{}, err
-	}
-	if source == target {
-		return sag.Path{}, nil
-	}
-	p.tel.Counter("planner.lazy.plans").Inc()
-	start := p.now()
-	defer func() { p.tel.Histogram("planner.lazy.latency").Observe(p.now().Sub(start)) }()
-
-	type visit struct {
-		dist time.Duration
-		prev model.Config
-		via  sag.Edge
-		ok   bool
-	}
-	seen := map[model.Config]visit{source: {ok: true}}
-	done := map[model.Config]bool{}
-	pq := &configHeap{{cfg: source, dist: 0}}
-
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(configDist)
-		if done[cur.cfg] {
-			continue
-		}
-		done[cur.cfg] = true
-		if cur.cfg == target {
-			break
-		}
-		for _, a := range p.actions {
-			next, ok := a.Apply(p.reg, cur.cfg)
-			if !ok || next == cur.cfg || done[next] {
-				continue
-			}
-			if !p.invs.Satisfied(next) {
-				continue
-			}
-			nd := cur.dist + a.Cost
-			if v, had := seen[next]; !had || nd < v.dist {
-				seen[next] = visit{
-					dist: nd,
-					prev: cur.cfg,
-					via:  sag.Edge{From: cur.cfg, To: next, Action: a},
-					ok:   true,
-				}
-				heap.Push(pq, configDist{cfg: next, dist: nd})
-			}
-		}
-	}
-	// The partial-exploration claim of Sec. 7 is exactly this number:
-	// how few configurations the lazy search had to enumerate.
-	p.tel.Counter("planner.lazy.configs_explored").Add(int64(len(seen)))
-	if !done[target] {
-		return sag.Path{}, &sag.ErrNoPath{
-			Source: p.reg.BitVector(source),
-			Target: p.reg.BitVector(target),
-		}
-	}
-	var rev []sag.Edge
-	for at := target; at != source; {
-		v := seen[at]
-		rev = append(rev, v.via)
-		at = v.prev
-	}
-	steps := make([]sag.Edge, len(rev))
-	for i := range rev {
-		steps[i] = rev[len(rev)-1-i]
-	}
-	return sag.Path{Steps: steps}, nil
-}
-
-type configDist struct {
-	cfg  model.Config
-	dist time.Duration
-}
-
-type configHeap []configDist
-
-func (h configHeap) Len() int           { return len(h) }
-func (h configHeap) Less(i, j int) bool { return h[i].dist < h[j].dist }
-func (h configHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *configHeap) Push(x any)        { *h = append(*h, x.(configDist)) }
-func (h *configHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/model"
 	"repro/internal/paper"
-	"repro/internal/sag"
 )
 
 func paperPlanner(t *testing.T) (*Planner, model.Config, model.Config) {
@@ -45,56 +43,6 @@ func TestPlanRejectsUnsafeEndpoints(t *testing.T) {
 	}
 	if _, err := p.Plan(src, unsafe); err == nil {
 		t.Error("unsafe target should be rejected")
-	}
-}
-
-// TestPlanLazyMatchesEager: the lazy uniform-cost search and the eager
-// SAG+Dijkstra pipeline agree on cost for every safe source/target pair.
-func TestPlanLazyMatchesEager(t *testing.T) {
-	p, _, _ := paperPlanner(t)
-	safe := p.SafeConfigs()
-	g, err := p.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range safe {
-		for _, d := range safe {
-			eager, errE := g.ShortestPath(s, d)
-			lazy, errL := p.PlanLazy(s, d)
-			if (errE == nil) != (errL == nil) {
-				t.Fatalf("%s->%s: eager err %v, lazy err %v",
-					p.Registry().BitVector(s), p.Registry().BitVector(d), errE, errL)
-			}
-			if errE != nil {
-				continue
-			}
-			if eager.Cost() != lazy.Cost() {
-				t.Errorf("%s->%s: eager cost %v, lazy cost %v",
-					p.Registry().BitVector(s), p.Registry().BitVector(d), eager.Cost(), lazy.Cost())
-			}
-		}
-	}
-}
-
-func TestPlanLazyPathIsValid(t *testing.T) {
-	p, src, tgt := paperPlanner(t)
-	path, err := p.PlanLazy(src, tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := src
-	for _, e := range path.Steps {
-		next, ok := e.Action.Apply(p.Registry(), cur)
-		if !ok {
-			t.Fatalf("lazy step %s not applicable", e.Action.ID)
-		}
-		if !p.Invariants().Satisfied(next) {
-			t.Fatalf("lazy path passes through unsafe configuration %s", p.Registry().BitVector(next))
-		}
-		cur = next
-	}
-	if cur != tgt {
-		t.Error("lazy path does not reach target")
 	}
 }
 
@@ -227,7 +175,7 @@ func TestPlanDecomposed(t *testing.T) {
 
 func TestPlanDecomposedMatchesFlatCost(t *testing.T) {
 	p, src, tgt := twoSubsystems(t)
-	flat, err := p.PlanLazy(src, tgt)
+	flat, err := p.PlanAStar(src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,27 +212,6 @@ func TestPlanDecomposedRejectsCrossSetActions(t *testing.T) {
 		t.Error("cross-set action must make decomposition fail")
 	} else if !strings.Contains(err.Error(), "spans collaborative sets") {
 		t.Errorf("unexpected error: %v", err)
-	}
-}
-
-func TestPlanLazyNoPath(t *testing.T) {
-	reg := model.MustRegistry(
-		model.Component{Name: "A", Process: "p"},
-		model.Component{Name: "B", Process: "p"},
-	)
-	inv, _ := invariant.NewStructural("any", "A | B")
-	set, err := invariant.NewSet(reg, inv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(set, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = p.PlanLazy(reg.MustConfigOf("A"), reg.MustConfigOf("B"))
-	var noPath *sag.ErrNoPath
-	if !errors.As(err, &noPath) {
-		t.Errorf("expected *sag.ErrNoPath, got %v", err)
 	}
 }
 

@@ -105,7 +105,7 @@ func TestRealNetworkEndToEnd(t *testing.T) {
 	}
 	var agents []*agent.Agent
 	for name, proc := range procs {
-		ep, err := transport.DialTCP(name, mgrEP.Addr())
+		ep, err := transport.DialReconnectingTCP(name, transport.NewAddrRing(mgrEP.Addr()).Next, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,24 +11,36 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file is the fleet plane's wire layer: connection multiplexing and
-// batched wave fan-out. A MuxManager is a hub that serves many logical
-// endpoints over few TCP connections — a MuxClient dials once and
-// registers any number of named endpoints on the same conn (hello frames,
-// like tcp.go), and a fleet coordinator registers itself plus the agent
-// names it covers, so the hub routes per-agent traffic to the right link
-// without a topology in the transport. One frame can carry a whole wave
-// for a link (protocol.MsgBatch), which is what turns the manager's O(n)
-// frames per wave into O(links).
+// This file is the TCP transport, the paper's "direct TCP connection" between
+// the manager and the agents: one listening hub and one reconnecting client
+// whose logical endpoints share its connection. A flat deployment is the
+// hub named protocol.ManagerName (ListenTCP) plus one client with one
+// endpoint per agent (DialReconnectingTCP). The fleet plane is the same
+// pair with more streams per link: a MuxClient registers any number of
+// named endpoints on its conn (one hello frame each), and a coordinator
+// registers itself plus the agent names it covers, so the hub routes
+// per-agent traffic to the right link without a topology in the transport.
+// One frame can carry a whole wave for a link (protocol.MsgBatch), which
+// turns the manager's O(n) frames per wave into O(links).
+//
+// What "message loss" means, the same for every deployment shape:
+//   - a frame whose From the connection never registered (or declared
+//     coverage for) is dropped and counted, never re-attributed;
+//   - a send while the client is between connections rides a bounded
+//     buffer (maxMuxPending) and is flushed behind the re-registration;
+//     only a full buffer or a closed client is loss;
+//   - a name registering again re-routes to the new conn; the old conn is
+//     left to die on its own, its other streams may still be live.
 //
 // Ordering: a hub serializes frame writes per process (sendMu), and a
 // client demultiplexes with a single read loop, so messages of one
 // logical stream (one From→To pair) are delivered in send order even when
 // many endpoints share the conn.
 
-// MuxManager is the hub side of the multiplexed transport. It implements
+// MuxManager is the listening side of the TCP transport. It implements
 // Endpoint (inbox of every frame received from any registered name) and
-// BatchSender (one MsgBatch frame per child link per wave).
+// BatchSender (a wave leaves as one frame per message, or one MsgBatch
+// frame per link where messages share one).
 type MuxManager struct {
 	name  string
 	ln    net.Listener
@@ -36,7 +48,9 @@ type MuxManager struct {
 	tel   atomic.Pointer[telemetry.Registry]
 
 	mu       sync.Mutex
-	routes   map[string]*muxRoute // registered name (direct or covered) → route
+	links    map[*muxLink]struct{} // every accepted connection still being served
+	routes   map[string]*muxRoute  // registered name (direct or covered) → route
+	wave     uint64                // SendBatch's current mark, see flatWave
 	closed   bool
 	regPulse chan struct{} // closed (and replaced) on every registration change
 	wg       sync.WaitGroup
@@ -47,14 +61,21 @@ type MuxManager struct {
 	sendMu sync.Mutex
 }
 
-// muxRoute is where frames for one registered name go: the connection,
-// the endpoint that declared the route (the name itself for a direct
+// muxLink is one accepted connection. wave is the last SendBatch mark
+// that touched it (guarded by the hub's mu).
+type muxLink struct {
+	conn net.Conn
+	wave uint64
+}
+
+// muxRoute is where frames for one registered name go: the link, the
+// endpoint that declared the route (the name itself for a direct
 // registration, the covering relay endpoint otherwise), and whether the
 // route goes through a relay — frames for covered names are wrapped in
 // MsgBatch envelopes addressed to the owner, so the relay sees them on
 // its own logical endpoint.
 type muxRoute struct {
-	conn  net.Conn
+	link  *muxLink
 	owner string
 	relay bool
 }
@@ -63,9 +84,14 @@ type muxRoute struct {
 // traffic on. Nil disables instrumentation.
 func (m *MuxManager) SetTelemetry(tel *telemetry.Registry) { m.tel.Store(tel) }
 
+// ListenTCP starts the manager's endpoint on addr: the hub named
+// protocol.ManagerName.
+func ListenTCP(addr string) (*MuxManager, error) {
+	return ListenMux(protocol.ManagerName, addr)
+}
+
 // ListenMux starts a hub endpoint named name on addr (e.g. "127.0.0.1:0").
-// The root manager's hub is named protocol.ManagerName; a coordinator's
-// downward hub is named after the coordinator.
+// A coordinator's downward hub is named after the coordinator.
 func ListenMux(name, addr string) (*MuxManager, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -75,6 +101,7 @@ func ListenMux(name, addr string) (*MuxManager, error) {
 		name:     name,
 		ln:       ln,
 		inbox:    make(chan protocol.Message, 256),
+		links:    make(map[*muxLink]struct{}),
 		routes:   make(map[string]*muxRoute),
 		regPulse: make(chan struct{}),
 	}
@@ -105,7 +132,7 @@ func (m *MuxManager) Send(msg protocol.Message) error {
 	m.mu.Unlock()
 	if !ok {
 		tel := m.tel.Load()
-		tel.Counter("transport.mux.send_errors").Inc()
+		tel.Counter("transport.tcp.send_errors").Inc()
 		noteDrop(tel, msg, "no route")
 		return fmt.Errorf("transport: no route to %q", msg.To)
 	}
@@ -114,28 +141,38 @@ func (m *MuxManager) Send(msg protocol.Message) error {
 		out = protocol.PackBatch(rt.owner, []protocol.Message{msg})
 		out.From = msg.From
 	}
-	m.tel.Load().Counter("transport.mux.frames_sent").Inc()
+	m.tel.Load().Counter("transport.tcp.frames_sent").Inc()
 	m.sendMu.Lock()
 	defer m.sendMu.Unlock()
 	//safeadaptvet:allow locksend -- sendMu is a dedicated frame-write serializer guarding no protocol state; the route was copied out from under the state lock m.mu above
-	return protocol.WriteFrame(rt.conn, out)
+	return protocol.WriteFrame(rt.link.conn, out)
 }
 
-// SendBatch implements BatchSender: messages are grouped by link in
-// first-seen order (deterministic for a deterministically ordered wave)
-// and each group leaves as a single MsgBatch frame, preserving in-group
-// order. Groups for dead or unknown links are counted as loss; the first
-// error is returned after every group has been attempted.
+// SendBatch implements BatchSender. Messages share a frame only when they
+// share a link: a wave whose targets are all directly registered on
+// pairwise-distinct connections — every wave of a flat deployment — is
+// written as plain frames, exactly as Send would, and allocates nothing
+// of its own. Otherwise messages are grouped by link in first-seen order
+// (deterministic for a deterministically ordered wave) and each group of
+// two or more, and every group for a relay, leaves as a single MsgBatch
+// frame, preserving in-group order. Groups for dead or unknown links are
+// counted as loss; the first error is returned after every message has
+// been attempted.
 func (m *MuxManager) SendBatch(msgs []protocol.Message) error {
-	if len(msgs) == 0 {
-		return nil
+	var firstErr error
+	if m.flatWave(msgs) {
+		for _, msg := range msgs {
+			if err := m.Send(msg); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+		return firstErr
 	}
-	// Messages share a frame only when they share both the connection and
-	// the delivery discipline: one envelope per relay endpoint (addressed
-	// to it), one anonymous envelope per conn for directly registered
-	// streams (the client demultiplexes those by each enclosed To).
+	// One envelope per relay endpoint (addressed to it), one anonymous
+	// envelope per link for directly registered streams (the client
+	// demultiplexes those by each enclosed To).
 	type gkey struct {
-		conn  net.Conn
+		link  *muxLink
 		owner string // "" for direct streams
 	}
 	type group struct {
@@ -144,7 +181,6 @@ func (m *MuxManager) SendBatch(msgs []protocol.Message) error {
 	}
 	var groups []*group
 	index := make(map[gkey]*group)
-	var firstErr error
 	m.mu.Lock()
 	for _, msg := range msgs {
 		if msg.From == "" {
@@ -155,10 +191,10 @@ func (m *MuxManager) SendBatch(msgs []protocol.Message) error {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("transport: no route to %q", msg.To)
 			}
-			m.tel.Load().Counter("transport.mux.send_errors").Inc()
+			m.tel.Load().Counter("transport.tcp.send_errors").Inc()
 			continue
 		}
-		key := gkey{conn: rt.conn}
+		key := gkey{link: rt.link}
 		if rt.relay {
 			key.owner = rt.owner
 		}
@@ -176,16 +212,40 @@ func (m *MuxManager) SendBatch(msgs []protocol.Message) error {
 	m.sendMu.Lock()
 	defer m.sendMu.Unlock()
 	for _, g := range groups {
-		out := protocol.PackBatch(g.key.owner, g.msgs)
-		out.From = m.name
-		tel.Counter("transport.mux.frames_sent").Inc()
-		tel.Counter("transport.mux.batched_msgs").Add(int64(len(g.msgs)))
+		out := g.msgs[0]
+		if len(g.msgs) > 1 || g.key.owner != "" {
+			out = protocol.PackBatch(g.key.owner, g.msgs)
+			out.From = m.name
+			tel.Counter("transport.tcp.batched_msgs").Add(int64(len(g.msgs)))
+		}
+		tel.Counter("transport.tcp.frames_sent").Inc()
 		//safeadaptvet:allow locksend -- sendMu is a dedicated frame-write serializer guarding no protocol state; routes were copied out from under the state lock m.mu above
-		if err := protocol.WriteFrame(g.key.conn, out); err != nil && firstErr == nil {
+		if err := protocol.WriteFrame(g.key.link.conn, out); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// flatWave reports whether no two messages of the wave share a link and
+// none goes through a relay, so no envelope could save a frame. It marks
+// each link it meets with a fresh wave number; meeting the mark again is
+// a shared link. Unknown targets do not count: Send reports them.
+func (m *MuxManager) flatWave(msgs []protocol.Message) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.wave++
+	for i := range msgs {
+		rt, ok := m.routes[msgs[i].To]
+		if !ok {
+			continue
+		}
+		if rt.relay || rt.link.wave == m.wave {
+			return false
+		}
+		rt.link.wave = m.wave
+	}
+	return true
 }
 
 // WaitForAgents blocks until every named endpoint is routable (directly
@@ -235,19 +295,15 @@ func (m *MuxManager) Close() error {
 	}
 	m.closed = true
 	m.pulseLocked()
-	seen := make(map[net.Conn]bool)
-	conns := make([]net.Conn, 0, len(m.routes))
-	for _, rt := range m.routes {
-		if !seen[rt.conn] {
-			seen[rt.conn] = true
-			conns = append(conns, rt.conn)
-		}
+	links := make([]*muxLink, 0, len(m.links))
+	for l := range m.links {
+		links = append(links, l)
 	}
 	m.mu.Unlock()
 
 	_ = m.ln.Close()
-	for _, c := range conns {
-		_ = c.Close()
+	for _, l := range links {
+		_ = l.conn.Close()
 	}
 	m.wg.Wait()
 	close(m.inbox)
@@ -266,34 +322,53 @@ func (m *MuxManager) acceptLoop() {
 	}
 }
 
-// register binds name (and the coverage it declares) to conn. A name
-// moving to a new conn (a redialed client) simply re-routes; the old conn
+// register binds name (and the coverage it declares) to link. A name
+// moving to a new link (a redialed client) simply re-routes; the old conn
 // is not torn down — its other streams may still be live.
-func (m *MuxManager) register(conn net.Conn, name string, covers []string) {
+func (m *MuxManager) register(link *muxLink, name string, covers []string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return
 	}
-	m.routes[name] = &muxRoute{conn: conn, owner: name, relay: len(covers) > 0}
+	m.routes[name] = &muxRoute{link: link, owner: name, relay: len(covers) > 0}
 	for _, c := range covers {
-		m.routes[c] = &muxRoute{conn: conn, owner: name, relay: true}
+		m.routes[c] = &muxRoute{link: link, owner: name, relay: true}
 	}
 	m.pulseLocked()
 }
 
 func (m *MuxManager) serveConn(conn net.Conn) {
 	defer m.wg.Done()
+	defer func() { _ = conn.Close() }()
+	link := &muxLink{conn: conn}
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return
+	}
+	m.links[link] = struct{}{} // Close reaches the conn even before its hello
+	m.mu.Unlock()
+	defer func() {
+		m.mu.Lock()
+		delete(m.links, link)
+		for name, rt := range m.routes {
+			if rt.link == link {
+				delete(m.routes, name)
+			}
+		}
+		m.mu.Unlock()
+	}()
+
 	hello, err := protocol.ReadFrame(conn)
 	if err != nil || hello.Type != protocol.MsgHello || hello.From == "" {
-		_ = conn.Close()
 		return
 	}
 	allowed := map[string]bool{hello.From: true}
 	for _, c := range hello.Agents {
 		allowed[c] = true
 	}
-	m.register(conn, hello.From, hello.Agents)
+	m.register(link, hello.From, hello.Agents)
 
 	// deliver pushes one attributed message to the hub inbox.
 	deliver := func(msg protocol.Message) {
@@ -302,11 +377,11 @@ func (m *MuxManager) serveConn(conn net.Conn) {
 			// declared coverage for) may speak. Anything else is dropped,
 			// not misattributed.
 			tel := m.tel.Load()
-			tel.Counter("transport.mux.unattributed_drops").Inc()
+			tel.Counter("transport.tcp.unattributed_drops").Inc()
 			noteDrop(tel, msg, "unregistered stream")
 			return
 		}
-		m.tel.Load().Counter("transport.mux.frames_received").Inc()
+		m.tel.Load().Counter("transport.tcp.frames_received").Inc()
 		select {
 		case m.inbox <- msg:
 		default:
@@ -328,7 +403,7 @@ func (m *MuxManager) serveConn(conn net.Conn) {
 			for _, c := range msg.Agents {
 				allowed[c] = true
 			}
-			m.register(conn, msg.From, msg.Agents)
+			m.register(link, msg.From, msg.Agents)
 			continue
 		}
 		m.mu.Lock()
@@ -348,40 +423,35 @@ func (m *MuxManager) serveConn(conn net.Conn) {
 		}
 		deliver(msg)
 	}
-
-	m.mu.Lock()
-	for name, rt := range m.routes {
-		if rt.conn == conn {
-			delete(m.routes, name)
-		}
-	}
-	m.mu.Unlock()
-	_ = conn.Close()
 }
 
-// MuxClient multiplexes many logical endpoints over one reconnecting TCP
-// connection to a hub. Each Endpoint call registers a named stream with a
-// hello frame; when the connection dies the client redials (polling the
-// address function, like ReconnectingAgent) and re-registers every
-// endpoint, so a whole shard of agents reattaches with one dial.
+// MuxClient is the dialing side of the TCP transport: one reconnecting
+// connection to a hub, shared by its logical endpoints. Each Endpoint call
+// registers a named stream with a hello frame; when the connection dies
+// (a manager crash, typically) the client redials through the address
+// function — so a recovered manager listening on a NEW address is found as
+// soon as the function returns it — and re-registers every endpoint, so a
+// whole shard of agents reattaches with one dial.
 type MuxClient struct {
 	addr   func() string
 	redial time.Duration
 	tel    atomic.Pointer[telemetry.Registry]
 
-	mu     sync.Mutex
-	conn   net.Conn // nil while disconnected or mid-reattach
-	eps    map[string]*MuxEndpoint
-	order  []string // registration order, for deterministic re-hello
-	covers map[string][]string
+	mu    sync.Mutex
+	conn  net.Conn // nil while disconnected or mid-reattach
+	eps   map[string]*MuxEndpoint
+	order []*MuxEndpoint // registration order, for deterministic re-hello
 	// pending buffers frames sent while conn is nil (bounded by
 	// maxMuxPending). The redial loop flushes it after re-registering
 	// every endpoint and before publishing the new conn, so a frame can
 	// never reach the hub ahead of the hello that authorizes its stream.
 	pending []protocol.Message
-	closed  bool
-	stop    chan struct{}
-	wg      sync.WaitGroup
+	// reattachHook, when a test sets it, runs after each round of frames
+	// reattach writes, with no lock held.
+	reattachHook func()
+	closed       bool
+	stop         chan struct{}
+	wg           sync.WaitGroup
 
 	// sendMu serializes frame writes so concurrent Sends from different
 	// logical endpoints cannot interleave bytes; never held with mu.
@@ -409,12 +479,28 @@ func DialMux(addr func() string, redialDelay time.Duration) (*MuxClient, error) 
 		redial: redialDelay,
 		conn:   conn,
 		eps:    make(map[string]*MuxEndpoint),
-		covers: make(map[string][]string),
 		stop:   make(chan struct{}),
 	}
 	c.wg.Add(1)
 	go c.run(conn)
 	return c, nil
+}
+
+// DialReconnectingTCP connects the named agent to the manager address
+// returned by addr: a client with one logical endpoint. Closing the
+// endpoint closes the connection, so the hub forgets the name at once.
+func DialReconnectingTCP(name string, addr func() string, redialDelay time.Duration) (*MuxEndpoint, error) {
+	c, err := DialMux(addr, redialDelay)
+	if err != nil {
+		return nil, err
+	}
+	ep, err := c.Endpoint(name)
+	if err != nil {
+		_ = c.Close()
+		return nil, err
+	}
+	ep.solo = true
+	return ep, nil
 }
 
 // Endpoint registers a logical endpoint on the shared connection and
@@ -436,20 +522,20 @@ func (c *MuxClient) Endpoint(name string, covers ...string) (*MuxEndpoint, error
 		return nil, fmt.Errorf("transport: endpoint %q already registered", name)
 	}
 	ep := &MuxEndpoint{
-		c:     c,
-		name:  name,
-		inbox: make(chan protocol.Message, 64),
+		c:      c,
+		name:   name,
+		covers: covers,
+		inbox:  make(chan protocol.Message, 64),
 	}
 	c.eps[name] = ep
-	c.order = append(c.order, name)
-	c.covers[name] = covers
+	c.order = append(c.order, ep)
 	conn := c.conn
 	c.mu.Unlock()
 
 	if conn != nil {
 		// Registration failure here is indistinguishable from the conn
 		// dying right after a successful hello; the redial loop re-hellos.
-		_ = c.writeFrame(conn, helloFrame(name, covers))
+		_ = c.writeFrame(conn, ep.hello())
 	}
 	return ep, nil
 }
@@ -459,29 +545,40 @@ func (c *MuxClient) Endpoint(name string, covers ...string) (*MuxEndpoint, error
 // ladder owns recovery beyond that, exactly as for a dead link.
 const maxMuxPending = 128
 
-// enqueuePending buffers one frame for the post-redial flush. It
-// returns false (counted as loss) when the client is closed or the
-// buffer is full.
-func (c *MuxClient) enqueuePending(msg protocol.Message) bool {
+// send writes one frame for the endpoint named from on the current
+// connection. Between connections the frame is buffered for reattach to
+// flush; the decision and the append share one critical section with
+// reattach's publish step, so a frame is never parked behind a live
+// connection. A full buffer or a closed client is loss.
+func (c *MuxClient) send(from string, frame protocol.Message) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed || len(c.pending) >= maxMuxPending {
-		return false
+	conn := c.conn
+	buffered := conn == nil && !c.closed && len(c.pending) < maxMuxPending
+	if buffered {
+		c.pending = append(c.pending, frame)
 	}
-	c.pending = append(c.pending, msg)
-	return true
+	c.mu.Unlock()
+	switch {
+	case buffered:
+		c.tel.Load().Counter("transport.tcp.redial_buffered").Inc()
+		return nil
+	case conn == nil:
+		c.tel.Load().Counter("transport.tcp.send_errors").Inc()
+		return fmt.Errorf("transport: endpoint %q disconnected from hub", from)
+	}
+	// If the redial loop swaps the connection after the copy, the write
+	// fails on the stale conn — indistinguishable from message loss.
+	return c.writeFrame(conn, frame)
 }
 
-// helloFrame builds the registration frame for name with the given
-// coverage declaration.
-func helloFrame(name string, covers []string) protocol.Message {
-	hello := protocol.Message{Type: protocol.MsgHello, From: name, Agents: covers}
-	return hello
+// hello builds the endpoint's registration frame.
+func (e *MuxEndpoint) hello() protocol.Message {
+	return protocol.Message{Type: protocol.MsgHello, From: e.name, Agents: e.covers}
 }
 
 // writeFrame writes one frame under the send serializer.
 func (c *MuxClient) writeFrame(conn net.Conn, msg protocol.Message) error {
-	c.tel.Load().Counter("transport.mux.frames_sent").Inc()
+	c.tel.Load().Counter("transport.tcp.frames_sent").Inc()
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	//safeadaptvet:allow locksend -- sendMu is a dedicated frame-write serializer guarding no protocol state; conn was copied out from under the state lock c.mu by the caller
@@ -497,12 +594,7 @@ func (c *MuxClient) Close() error {
 	}
 	c.closed = true
 	conn := c.conn
-	eps := make([]*MuxEndpoint, 0, len(c.eps))
-	for _, name := range c.order {
-		if ep := c.eps[name]; ep != nil {
-			eps = append(eps, ep)
-		}
-	}
+	eps := append([]*MuxEndpoint(nil), c.order...)
 	c.mu.Unlock()
 	close(c.stop)
 	if conn != nil {
@@ -516,10 +608,10 @@ func (c *MuxClient) Close() error {
 }
 
 // run is the shared read/redial loop: one reader demultiplexes frames to
-// the per-endpoint inboxes; on connection death it redials, re-registers
-// every endpoint in registration order, and carries on. The logical
-// inboxes survive the transfer — agents on top never notice, and epoch
-// fencing sorts out which manager incarnation's messages still matter.
+// the per-endpoint inboxes; on connection death it redials, reattaches
+// every endpoint, and carries on. The logical inboxes survive the
+// transfer — agents on top never notice, and epoch fencing sorts out
+// which manager incarnation's messages still matter.
 func (c *MuxClient) run(conn net.Conn) {
 	defer c.wg.Done()
 	for {
@@ -533,61 +625,12 @@ func (c *MuxClient) run(conn net.Conn) {
 			if err != nil {
 				continue
 			}
-			c.mu.Lock()
-			if c.closed {
-				c.mu.Unlock()
-				_ = nc.Close()
-				return
-			}
-			names := append([]string(nil), c.order...)
-			covers := make(map[string][]string, len(names))
-			for _, n := range names {
-				covers[n] = c.covers[n]
-			}
-			c.mu.Unlock()
-			ok := true
-			for _, n := range names {
-				if err := c.writeFrame(nc, helloFrame(n, covers[n])); err != nil {
-					ok = false
-					break
-				}
-			}
-			// Flush the frames buffered while disconnected, then publish
-			// the conn. Sends keep buffering until c.conn is visible, so
-			// draining until a pass finds the buffer empty guarantees
-			// every buffered frame leaves after the hellos and before any
-			// direct write — the hub never sees a frame on a stream it
-			// has not readmitted yet.
-			for ok {
-				c.mu.Lock()
-				if len(c.pending) == 0 {
-					c.conn = nc
-					c.mu.Unlock()
-					break
-				}
-				batch := c.pending
-				c.pending = nil
-				c.mu.Unlock()
-				for i, msg := range batch {
-					if err := c.writeFrame(nc, msg); err != nil {
-						// The unflushed tail is loss, like any dead link.
-						ok = false
-						tel := c.tel.Load()
-						for _, lost := range batch[i:] {
-							tel.Counter("transport.mux.send_errors").Inc()
-							noteDrop(tel, lost, "redial flush failed")
-						}
-						break
-					}
-					c.tel.Load().Counter("transport.mux.redial_flushed").Inc()
-				}
-			}
-			if !ok {
+			if !c.reattach(nc) {
 				_ = nc.Close()
 				continue
 			}
 			conn = nc
-			c.tel.Load().Counter("transport.mux.reconnects").Inc()
+			c.tel.Load().Counter("transport.tcp.reconnects").Inc()
 		}
 		msg, err := protocol.ReadFrame(conn)
 		if err != nil {
@@ -604,8 +647,65 @@ func (c *MuxClient) run(conn net.Conn) {
 			}
 			continue
 		}
-		c.tel.Load().Counter("transport.mux.frames_received").Inc()
+		c.tel.Load().Counter("transport.tcp.frames_received").Inc()
 		c.route(msg)
+	}
+}
+
+// reattach registers every endpoint on the fresh connection nc in
+// registration order, flushes the frames buffered while disconnected, and
+// publishes nc. Sends keep buffering and Endpoint calls write no hello
+// until c.conn is visible, so the step that publishes it checks both lists
+// under the same lock and goes round again while either has grown: every
+// endpoint is registered, and every buffered frame leaves behind the
+// hello that authorizes its stream, before any direct write — the hub
+// never sees a frame on a stream it has not readmitted yet. It reports
+// false when a write failed (the unflushed frames are loss, like on any
+// dead link) or the client closed.
+func (c *MuxClient) reattach(nc net.Conn) bool {
+	helloed := make(map[*MuxEndpoint]bool)
+	for {
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return false
+		}
+		var out []protocol.Message
+		for _, ep := range c.order {
+			if !helloed[ep] {
+				helloed[ep] = true
+				out = append(out, ep.hello())
+			}
+		}
+		flushing := len(out) == 0
+		if flushing {
+			out, c.pending = c.pending, nil
+		}
+		if len(out) == 0 {
+			c.conn = nc
+			c.mu.Unlock()
+			return true
+		}
+		hook := c.reattachHook
+		c.mu.Unlock()
+		for i, msg := range out {
+			if err := c.writeFrame(nc, msg); err != nil {
+				if flushing {
+					tel := c.tel.Load()
+					for _, lost := range out[i:] {
+						tel.Counter("transport.tcp.send_errors").Inc()
+						noteDrop(tel, lost, "redial flush failed")
+					}
+				}
+				return false
+			}
+			if flushing {
+				c.tel.Load().Counter("transport.tcp.redial_flushed").Inc()
+			}
+		}
+		if hook != nil {
+			hook()
+		}
 	}
 }
 
@@ -628,7 +728,7 @@ func (c *MuxClient) route(msg protocol.Message) {
 			c.mu.Unlock()
 			if ep == nil {
 				tel := c.tel.Load()
-				tel.Counter("transport.mux.unrouted_drops").Inc()
+				tel.Counter("transport.tcp.unrouted_drops").Inc()
 				noteDrop(tel, inner, "no local endpoint")
 				continue
 			}
@@ -637,7 +737,7 @@ func (c *MuxClient) route(msg protocol.Message) {
 		return
 	}
 	tel := c.tel.Load()
-	tel.Counter("transport.mux.unrouted_drops").Inc()
+	tel.Counter("transport.tcp.unrouted_drops").Inc()
 	noteDrop(tel, msg, "no local endpoint")
 }
 
@@ -655,15 +755,20 @@ func (c *MuxClient) push(ep *MuxEndpoint, msg protocol.Message) {
 	}
 }
 
-// MuxEndpoint is one logical endpoint on a shared MuxClient connection.
+// MuxEndpoint is one logical endpoint on a MuxClient's connection.
 type MuxEndpoint struct {
-	c    *MuxClient
-	name string
+	c      *MuxClient
+	name   string
+	covers []string // names relayed on behalf of, declared in the hello
+	solo   bool     // the client's only endpoint (DialReconnectingTCP): Close closes the client
 
 	mu     sync.Mutex
 	inbox  chan protocol.Message
 	closed bool
 }
+
+// SetTelemetry installs the registry on the endpoint's client.
+func (e *MuxEndpoint) SetTelemetry(tel *telemetry.Registry) { e.c.SetTelemetry(tel) }
 
 // Name implements Endpoint.
 func (e *MuxEndpoint) Name() string { return e.name }
@@ -681,26 +786,13 @@ func (e *MuxEndpoint) Send(msg protocol.Message) error {
 	if msg.From == "" {
 		msg.From = e.name
 	}
-	e.c.mu.Lock()
-	conn := e.c.conn
-	e.c.mu.Unlock()
-	if conn == nil {
-		if e.c.enqueuePending(msg) {
-			e.c.tel.Load().Counter("transport.mux.redial_buffered").Inc()
-			return nil
-		}
-		e.c.tel.Load().Counter("transport.mux.send_errors").Inc()
-		return fmt.Errorf("transport: endpoint %q disconnected from hub", e.name)
-	}
-	// If the redial loop swaps the connection after the copy, the write
-	// fails on the stale conn — indistinguishable from message loss.
-	return e.c.writeFrame(conn, msg)
+	return e.c.send(e.name, msg)
 }
 
 // SendBatch implements BatchSender: the messages leave as one MsgBatch
-// frame on the shared connection, preserving order. The envelope is
-// addressed by the hub's routing (each enclosed To), so it is sent
-// unaddressed.
+// frame on the shared connection (or ride the redial buffer as one),
+// preserving order. The envelope is addressed by the hub's routing (each
+// enclosed To), so it is sent unaddressed.
 func (e *MuxEndpoint) SendBatch(msgs []protocol.Message) error {
 	if len(msgs) == 0 {
 		return nil
@@ -712,21 +804,8 @@ func (e *MuxEndpoint) SendBatch(msgs []protocol.Message) error {
 	}
 	env := protocol.PackBatch("", msgs)
 	env.From = e.name
-	e.c.mu.Lock()
-	conn := e.c.conn
-	e.c.mu.Unlock()
-	if conn == nil {
-		// The whole wave batch rides the redial buffer as one frame.
-		if e.c.enqueuePending(env) {
-			e.c.tel.Load().Counter("transport.mux.redial_buffered").Inc()
-			e.c.tel.Load().Counter("transport.mux.batched_msgs").Add(int64(len(msgs)))
-			return nil
-		}
-		e.c.tel.Load().Counter("transport.mux.send_errors").Inc()
-		return fmt.Errorf("transport: endpoint %q disconnected from hub", e.name)
-	}
-	e.c.tel.Load().Counter("transport.mux.batched_msgs").Add(int64(len(msgs)))
-	return e.c.writeFrame(conn, env)
+	e.c.tel.Load().Counter("transport.tcp.batched_msgs").Add(int64(len(msgs)))
+	return e.c.send(e.name, env)
 }
 
 func (e *MuxEndpoint) closeInbox() {
@@ -740,17 +819,22 @@ func (e *MuxEndpoint) closeInbox() {
 }
 
 // Close implements Endpoint: the logical endpoint deregisters locally
-// (the shared connection stays up for its siblings).
+// (the shared connection stays up for its siblings). A client's only
+// endpoint takes the client, and so the connection, with it.
 func (e *MuxEndpoint) Close() error {
+	if e.solo {
+		return e.c.Close()
+	}
 	e.c.mu.Lock()
-	delete(e.c.eps, e.name)
-	for i, n := range e.c.order {
-		if n == e.name {
+	if e.c.eps[e.name] == e {
+		delete(e.c.eps, e.name)
+	}
+	for i, ep := range e.c.order {
+		if ep == e {
 			e.c.order = append(e.c.order[:i], e.c.order[i+1:]...)
 			break
 		}
 	}
-	delete(e.c.covers, e.name)
 	e.c.mu.Unlock()
 	e.closeInbox()
 	return nil

@@ -1,13 +1,13 @@
 package transport
 
 import (
-	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/protocol"
+	"repro/internal/telemetry"
 )
 
 func muxPair(t *testing.T) (*MuxManager, *MuxClient) {
@@ -34,105 +34,6 @@ func recvHub(t *testing.T, hub *MuxManager, timeout time.Duration) protocol.Mess
 	case <-time.After(timeout):
 		t.Fatal("timeout waiting for hub message")
 		return protocol.Message{}
-	}
-}
-
-// TestMuxRoundTrip: many logical endpoints over one conn, both directions.
-func TestMuxRoundTrip(t *testing.T) {
-	hub, client := muxPair(t)
-	a1, err := client.Endpoint("a1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := client.Endpoint("a2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hub.WaitForAgents(2*time.Second, "a1", "a2"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Down: hub routes by To across the shared conn.
-	if err := hub.Send(protocol.Message{Type: protocol.MsgReset, To: "a2"}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case msg := <-a2.Inbox():
-		if msg.Type != protocol.MsgReset {
-			t.Fatalf("a2 got %v", msg)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("a2 never received")
-	}
-	select {
-	case msg := <-a1.Inbox():
-		t.Fatalf("a1 stole a2's message: %+v", msg)
-	default:
-	}
-
-	// Up: each endpoint speaks under its own From.
-	if err := a1.Send(protocol.Message{Type: protocol.MsgResetDone, To: "manager"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := recvHub(t, hub, 2*time.Second); got.From != "a1" {
-		t.Fatalf("From = %q, want a1", got.From)
-	}
-}
-
-// TestMuxPerStreamOrderingUnderConcurrentSends: two endpoints send
-// concurrently over the shared conn; each stream's own sequence must
-// arrive in order (the write lock serializes whole frames, never
-// interleaving bytes).
-func TestMuxPerStreamOrderingUnderConcurrentSends(t *testing.T) {
-	hub, client := muxPair(t)
-	// 3×80 = 240 messages fit the hub's 256-slot inbox: no overflow, so
-	// every message must arrive, each stream's in its exact send order.
-	const perStream = 80
-	streams := []string{"s0", "s1", "s2"}
-	eps := make([]*MuxEndpoint, len(streams))
-	for i, name := range streams {
-		ep, err := client.Endpoint(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eps[i] = ep
-	}
-	if err := hub.WaitForAgents(2*time.Second, streams...); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	for _, ep := range eps {
-		wg.Add(1)
-		go func(ep *MuxEndpoint) {
-			defer wg.Done()
-			for i := 0; i < perStream; i++ {
-				if err := ep.Send(protocol.Message{
-					Type:  protocol.MsgHeartbeat,
-					To:    "manager",
-					Error: fmt.Sprintf("%d", i), // sequence tag
-				}); err != nil {
-					t.Errorf("%s send %d: %v", ep.Name(), i, err)
-					return
-				}
-			}
-		}(ep)
-	}
-	wg.Wait()
-
-	next := map[string]int{}
-	for n := 0; n < perStream*len(streams); n++ {
-		msg := recvHub(t, hub, 5*time.Second)
-		want := fmt.Sprintf("%d", next[msg.From])
-		if msg.Error != want {
-			t.Fatalf("stream %s out of order: got seq %s, want %s", msg.From, msg.Error, want)
-		}
-		next[msg.From]++
-	}
-	for _, name := range streams {
-		if next[name] != perStream {
-			t.Fatalf("stream %s delivered %d of %d", name, next[name], perStream)
-		}
 	}
 }
 
@@ -319,44 +220,209 @@ func TestMuxRedialReattachesAllStreams(t *testing.T) {
 	}
 }
 
-// TestMuxUnregisteredFromDropped: a conn may only speak for streams it
-// registered or declared coverage for; anything else is dropped, not
-// misattributed.
+// TestMuxUnregisteredFromDropped: a frame under a name its connection
+// never registered (or declared coverage for) is never delivered — not
+// under the forged name, and not re-attributed to the connection's own.
 func TestMuxUnregisteredFromDropped(t *testing.T) {
-	hub, err := ListenMux("manager", "127.0.0.1:0")
+	hub := tcpHub(t)
+	tel := telemetry.NewRegistry()
+	hub.SetTelemetry(tel)
+	honest, err := DialReconnectingTCP("honest", NewAddrRing(hub.Addr()).Next, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hub.Close()
-
-	conn, err := net.Dial("tcp", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := protocol.WriteFrame(conn, protocol.Message{Type: protocol.MsgHello, From: "honest"}); err != nil {
-		t.Fatal(err)
-	}
+	defer honest.Close()
 	if err := hub.WaitForAgents(2*time.Second, "honest"); err != nil {
 		t.Fatal(err)
 	}
-	// Forge a frame under a name this conn never registered.
-	if err := protocol.WriteFrame(conn, protocol.Message{Type: protocol.MsgResetDone, From: "victim", To: "manager"}); err != nil {
+	// An endpoint's Send keeps a caller-set From (a relay forwards for its
+	// subtree), so this frame reaches the hub under the forged name.
+	if err := honest.Send(protocol.Message{Type: protocol.MsgResetDone, From: "victim", To: protocol.ManagerName}); err != nil {
 		t.Fatal(err)
 	}
-	// An honest frame after the forged one still flows (the conn is not
-	// killed, the forged frame is just dropped).
-	if err := protocol.WriteFrame(conn, protocol.Message{Type: protocol.MsgResetDone, From: "honest", To: "manager"}); err != nil {
+	// The connection is not killed for it: an honest frame behind the
+	// forged one still flows, and the hub reads a connection in order, so
+	// once it has arrived the forged one has been judged.
+	if err := honest.Send(protocol.Message{Type: protocol.MsgResetDone, To: protocol.ManagerName}); err != nil {
 		t.Fatal(err)
 	}
-	msg := recvHub(t, hub, 2*time.Second)
-	if msg.From != "honest" {
+	if msg := recvHub(t, hub, 2*time.Second); msg.From != "honest" {
 		t.Fatalf("hub delivered forged traffic: %+v", msg)
 	}
 	select {
 	case msg := <-hub.Inbox():
 		t.Fatalf("unexpected second delivery: %+v", msg)
-	case <-time.After(50 * time.Millisecond):
+	default:
+	}
+	if n := tel.Counter("transport.tcp.unattributed_drops").Value(); n != 1 {
+		t.Fatalf("unattributed_drops = %d, want 1", n)
+	}
+}
+
+// rawStream registers name on a connection of its own and returns the
+// connection, for tests that look at frames rather than messages.
+func rawStream(t *testing.T, hub *MuxManager, names ...string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	for _, n := range names {
+		if err := protocol.WriteFrame(conn, protocol.Message{Type: protocol.MsgHello, From: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := hub.WaitForAgents(2*time.Second, names...); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// TestSendBatchEnvelopeRule: a MsgBatch envelope appears on the wire only
+// where it saves a frame — two or more messages sharing a connection — so
+// a flat deployment's wave is the same frames whether it leaves through
+// Send or SendBatch.
+func TestSendBatchEnvelopeRule(t *testing.T) {
+	hub := tcpHub(t)
+	shared := rawStream(t, hub, "s1", "s2")
+	alone := rawStream(t, hub, "a")
+	readFrame := func(conn net.Conn) protocol.Message {
+		t.Helper()
+		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		msg, err := protocol.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msg
+	}
+
+	if err := hub.SendBatch([]protocol.Message{
+		{Type: protocol.MsgReset, To: "s1"},
+		{Type: protocol.MsgReset, To: "a"},
+		{Type: protocol.MsgReset, To: "s2"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	env := readFrame(shared)
+	if inner := protocol.UnpackBatch(env); env.Type != protocol.MsgBatch || len(inner) != 2 || inner[0].To != "s1" || inner[1].To != "s2" {
+		t.Fatalf("shared connection got %+v, want one envelope carrying s1 then s2", env)
+	}
+	if msg := readFrame(alone); msg.Type != protocol.MsgReset || msg.To != "a" || msg.From != protocol.ManagerName {
+		t.Fatalf("lone message in a mixed wave got %+v, want the plain frame", msg)
+	}
+
+	// Distinct connections throughout: the flat path, plain frames only.
+	if err := hub.SendBatch([]protocol.Message{
+		{Type: protocol.MsgResume, To: "s2"},
+		{Type: protocol.MsgResume, To: "a"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for name, conn := range map[string]net.Conn{"s2": shared, "a": alone} {
+		if msg := readFrame(conn); msg.Type != protocol.MsgResume || msg.To != name || msg.From != protocol.ManagerName {
+			t.Fatalf("%s got %+v, want the plain frame", name, msg)
+		}
+	}
+}
+
+// TestEndpointRegisteredDuringReattach: an endpoint registered while the
+// client is between writing its hellos and publishing the new connection
+// is registered on that connection too, not left for the next redial.
+func TestEndpointRegisteredDuringReattach(t *testing.T) {
+	hub1 := tcpHub(t)
+	hub2 := tcpHub(t)
+	ring := NewAddrRing(hub1.Addr(), hub2.Addr())
+	client, err := DialMux(ring.Next, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Endpoint("early"); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub1.WaitForAgents(2*time.Second, "early"); err != nil {
+		t.Fatal(err)
+	}
+
+	var late *MuxEndpoint
+	var once sync.Once
+	client.mu.Lock()
+	client.reattachHook = func() {
+		once.Do(func() {
+			// The hellos are written, the connection not yet published.
+			var err error
+			if late, err = client.Endpoint("late"); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	client.mu.Unlock()
+	_ = hub1.Close()
+
+	if err := hub2.WaitForAgents(5*time.Second, "early", "late"); err != nil {
+		t.Fatalf("after the redial: %v", err)
+	}
+	// WaitForAgents saw "late" registered, so the hook has run.
+	if err := late.Send(protocol.Message{Type: protocol.MsgProbeAck, To: protocol.ManagerName}); err != nil {
+		t.Fatal(err)
+	}
+	if msg := recvHub(t, hub2, 2*time.Second); msg.From != "late" {
+		t.Fatalf("hub got %+v, want late's frame", msg)
+	}
+}
+
+// TestOneStreamRedialFollowsAddrRing: an agent's endpoint whose manager
+// dies finds the standby through the ring, under the same name and with
+// the same inbox, and what it sent in between arrives behind its hello.
+func TestOneStreamRedialFollowsAddrRing(t *testing.T) {
+	leader := tcpHub(t)
+	standby := tcpHub(t)
+	tel := telemetry.NewRegistry()
+	standby.SetTelemetry(tel)
+	ep, err := DialReconnectingTCP("handheld", NewAddrRing(leader.Addr(), standby.Addr()).Next, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	if err := leader.WaitForAgents(2*time.Second, "handheld"); err != nil {
+		t.Fatal(err)
+	}
+	_ = leader.Close()
+
+	// Sent at any point of the chase — into the dying connection (lost,
+	// like any frame on a dead link), into the redial buffer, or on the
+	// new connection — a frame that arrives arrives in order. Send until
+	// the first one lands, then check what follows it.
+	sent := 0
+	deadline := time.Now().Add(5 * time.Second)
+	var first protocol.Message
+	for first.Type == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no frame reached the standby")
+		}
+		// An error is a write that caught the dying connection: loss.
+		_ = ep.Send(protocol.Message{Type: protocol.MsgProbeAck, To: protocol.ManagerName, Step: protocol.Step{PathIndex: sent}})
+		sent++
+		select {
+		case first = <-standby.Inbox():
+		case <-time.After(time.Millisecond):
+		}
+	}
+	for want := first.Step.PathIndex + 1; want < sent; want++ {
+		if msg := recvHub(t, standby, 2*time.Second); msg.From != "handheld" || msg.Step.PathIndex != want {
+			t.Fatalf("got %+v, want handheld's frame %d", msg, want)
+		}
+	}
+	if n := tel.Counter("transport.tcp.unattributed_drops").Value(); n != 0 {
+		t.Fatalf("%d frames overtook the hello that readmits their stream", n)
+	}
+
+	if err := standby.Send(protocol.Message{Type: protocol.MsgProbe, To: "handheld"}); err != nil {
+		t.Fatal(err)
+	}
+	if msg := recvOne(t, ep); msg.Type != protocol.MsgProbe {
+		t.Fatalf("agent got %+v", msg)
 	}
 }
 

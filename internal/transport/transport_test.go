@@ -21,35 +21,6 @@ func recvOne(t *testing.T, ep Endpoint) protocol.Message {
 	}
 }
 
-func TestBusDelivery(t *testing.T) {
-	bus := NewBus()
-	defer func() { _ = bus.Close() }()
-	a, err := bus.Endpoint("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := bus.Endpoint("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send(protocol.Message{Type: protocol.MsgReset, To: "b"}); err != nil {
-		t.Fatal(err)
-	}
-	msg := recvOne(t, b)
-	if msg.From != "a" || msg.Type != protocol.MsgReset {
-		t.Errorf("got %+v", msg)
-	}
-}
-
-func TestBusUnknownEndpoint(t *testing.T) {
-	bus := NewBus()
-	defer func() { _ = bus.Close() }()
-	a, _ := bus.Endpoint("a")
-	if err := a.Send(protocol.Message{To: "ghost"}); err == nil {
-		t.Error("send to unknown endpoint should fail")
-	}
-}
-
 func TestBusDuplicateName(t *testing.T) {
 	bus := NewBus()
 	defer func() { _ = bus.Close() }()
@@ -61,23 +32,6 @@ func TestBusDuplicateName(t *testing.T) {
 	}
 	if _, err := bus.Endpoint(""); err == nil {
 		t.Error("empty name should fail")
-	}
-}
-
-func TestBusFIFOPerSender(t *testing.T) {
-	bus := NewBus()
-	defer func() { _ = bus.Close() }()
-	a, _ := bus.Endpoint("a")
-	b, _ := bus.Endpoint("b")
-	for i := 0; i < 20; i++ {
-		if err := a.Send(protocol.Message{Type: protocol.MsgReset, To: "b", Step: protocol.Step{PathIndex: i}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 20; i++ {
-		if msg := recvOne(t, b); msg.Step.PathIndex != i {
-			t.Fatalf("message %d arrived out of order: %d", i, msg.Step.PathIndex)
-		}
 	}
 }
 
@@ -151,155 +105,5 @@ func TestEndpointClose(t *testing.T) {
 	// Name can be reused after close.
 	if _, err := bus.Endpoint("b"); err != nil {
 		t.Errorf("reuse name after close: %v", err)
-	}
-}
-
-func TestTCPRoundTrip(t *testing.T) {
-	mgr, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = mgr.Close() }()
-
-	ag, err := DialTCP("handheld", mgr.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ag.Close() }()
-
-	if err := mgr.WaitForAgents(2*time.Second, "handheld"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Manager -> agent.
-	if err := mgr.Send(protocol.Message{Type: protocol.MsgReset, To: "handheld", Step: protocol.Step{ActionID: "A2"}}); err != nil {
-		t.Fatal(err)
-	}
-	msg := recvOne(t, ag)
-	if msg.Type != protocol.MsgReset || msg.Step.ActionID != "A2" {
-		t.Errorf("agent got %+v", msg)
-	}
-
-	// Agent -> manager.
-	if err := ag.Send(protocol.Message{Type: protocol.MsgResetDone, To: protocol.ManagerName, Step: protocol.Step{ActionID: "A2"}}); err != nil {
-		t.Fatal(err)
-	}
-	reply := recvOne(t, mgr)
-	if reply.Type != protocol.MsgResetDone || reply.From != "handheld" {
-		t.Errorf("manager got %+v", reply)
-	}
-}
-
-func TestTCPSendToUnknownAgent(t *testing.T) {
-	mgr, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = mgr.Close() }()
-	if err := mgr.Send(protocol.Message{To: "ghost"}); err == nil {
-		t.Error("send to unconnected agent should fail")
-	}
-}
-
-func TestTCPAgentOnlyTalksToManager(t *testing.T) {
-	mgr, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = mgr.Close() }()
-	ag, err := DialTCP("a", mgr.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ag.Close() }()
-	if err := ag.Send(protocol.Message{To: "b"}); err == nil {
-		t.Error("agent sending to non-manager should fail")
-	}
-}
-
-func TestTCPWaitForAgentsTimeout(t *testing.T) {
-	mgr, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = mgr.Close() }()
-	if err := mgr.WaitForAgents(50*time.Millisecond, "never"); err == nil {
-		t.Error("waiting for a missing agent should time out")
-	}
-}
-
-func TestTCPFromFieldTrusted(t *testing.T) {
-	// The manager must stamp From with the connection identity, not the
-	// frame contents.
-	mgr, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = mgr.Close() }()
-	ag, err := DialTCP("honest", mgr.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ag.Close() }()
-	if err := mgr.WaitForAgents(2*time.Second, "honest"); err != nil {
-		t.Fatal(err)
-	}
-	// Send claims to be from someone else; agent Send overwrites From
-	// with its own name, and the manager overwrites again on receipt.
-	if err := ag.Send(protocol.Message{Type: protocol.MsgResetDone, From: "liar", To: protocol.ManagerName}); err != nil {
-		t.Fatal(err)
-	}
-	msg := recvOne(t, mgr)
-	if msg.From != "honest" {
-		t.Errorf("From = %q, want %q", msg.From, "honest")
-	}
-}
-
-func TestTCPWaitForAgentsWakesOnRegistration(t *testing.T) {
-	// A waiter that starts before the agent dials must be woken by the
-	// registration itself, not by polling.
-	mgr, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = mgr.Close() }()
-
-	done := make(chan error, 1)
-	go func() { done <- mgr.WaitForAgents(5*time.Second, "late") }()
-
-	ag, err := DialTCP("late", mgr.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ag.Close() }()
-
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("WaitForAgents: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter not woken by agent registration")
-	}
-}
-
-func TestTCPWaitForAgentsWakesOnClose(t *testing.T) {
-	mgr, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- mgr.WaitForAgents(5*time.Second, "never") }()
-	time.Sleep(10 * time.Millisecond) // let the waiter block
-	_ = mgr.Close()
-
-	select {
-	case err := <-done:
-		if err != ErrClosed {
-			t.Fatalf("WaitForAgents after close = %v, want ErrClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter not woken by close")
 	}
 }

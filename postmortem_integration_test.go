@@ -99,7 +99,7 @@ func TestPostMortemTimelineOverTCP(t *testing.T) {
 		tel.AttachFlight(fr)
 		recorders = append(recorders, fr)
 
-		ep, err := transport.DialTCP(name, mgrEP.Addr())
+		ep, err := transport.DialReconnectingTCP(name, transport.NewAddrRing(mgrEP.Addr()).Next, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -191,14 +191,9 @@ func (s *System) PlanRequest() (Path, error) {
 	return s.plan.Plan(s.compiled.Source, s.compiled.Target)
 }
 
-// PlanLazy finds the MAP without materializing the full SAG — the
-// partial-exploration strategy for large systems (paper Sec. 7).
-func (s *System) PlanLazy(source, target Config) (Path, error) {
-	return s.plan.PlanLazy(source, target)
-}
-
-// PlanAStar finds the MAP with heuristic-guided A* search — Sec. 7's
-// partial exploration with an admissible distance-to-target bound, still
+// PlanAStar finds the MAP without materializing the full SAG, by
+// heuristic-guided A* search — Sec. 7's partial exploration for large
+// systems, with an admissible distance-to-target bound, still
 // cost-optimal.
 func (s *System) PlanAStar(source, target Config) (Path, error) {
 	return s.plan.PlanAStar(source, target)

@@ -46,9 +46,9 @@ func TestPaperCaseStudyPipeline(t *testing.T) {
 	if sets := sys.CollaborativeSets(); len(sets) != 1 {
 		t.Errorf("collaborative sets = %v", sets)
 	}
-	lazy, err := sys.PlanLazy(sys.Source(), sys.Target())
-	if err != nil || lazy.Cost() != path.Cost() {
-		t.Errorf("lazy plan = %v, %v", lazy, err)
+	astar, err := sys.PlanAStar(sys.Source(), sys.Target())
+	if err != nil || astar.Cost() != path.Cost() {
+		t.Errorf("A* plan = %v, %v", astar, err)
 	}
 	alts, err := sys.Alternatives(sys.Source(), sys.Target(), 2)
 	if err != nil || len(alts) != 2 {
