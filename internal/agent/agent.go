@@ -210,7 +210,8 @@ func (a *Agent) State() State {
 	return a.state
 }
 
-// Trace returns a copy of the recorded state transitions.
+// Trace returns a copy of the recorded state transitions: the latest step
+// whole, and at most maxTrace transitions of the ones before.
 func (a *Agent) Trace() []Transition {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -275,10 +276,18 @@ func (a *Agent) Close() {
 	<-a.done
 }
 
+// maxTrace bounds the transition trace: leaving running with this many on
+// record starts it afresh. Cut only there, a trace still starts in running
+// (audit.AgentTrace) and holds the latest step whole.
+const maxTrace = 4096
+
 func (a *Agent) transition(to State, cause string) {
 	a.mu.Lock()
 	from := a.state
 	stepKey := a.curStep.Key()
+	if from == StateRunning && len(a.trace) >= maxTrace {
+		a.trace = a.trace[:0]
+	}
 	a.trace = append(a.trace, Transition{
 		From:  from,
 		To:    to,

@@ -31,6 +31,7 @@ var DeterminismAnalyzer = &Analyzer{
 		"repro/internal/fleet",
 		"repro/internal/fleetobs",
 		"repro/internal/netsim",
+		"repro/internal/simnet",
 		"repro/internal/manager",
 		"repro/internal/replica",
 		"repro/internal/agent",

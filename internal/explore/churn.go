@@ -11,7 +11,7 @@ import (
 	"repro/internal/manager"
 	"repro/internal/protocol"
 	"repro/internal/replica"
-	"repro/internal/transport"
+	"repro/internal/simnet"
 )
 
 // churnPlan configures leader-churn injection for one execution: the
@@ -261,10 +261,10 @@ func normalizeRecords(recs []journal.Record) []journal.Record {
 // and (when non-zero) an explicit fencing epoch — the promotion path.
 // newManager delegates here for the leader itself.
 func (e *execution) newManagerOver(jrn journal.Journal, epoch uint64) (*manager.Manager, error) {
-	var ep transport.Endpoint = &mgrEndpoint{e: e}
-	if e.topo != nil {
-		ep = &fleetMgrEndpoint{mgrEndpoint{e: e}}
-	}
+	// The manager's port is a transport.BatchSender, like the root mux hub:
+	// in fleet mode a whole wave leaves as one MsgBatch envelope per
+	// top-level coordinator link; flat, every command is its own frame.
+	ep := simnet.BatchPort{Port: e.net.Down(protocol.ManagerName)}
 	return manager.New(ep, e.x.plan, manager.Options{
 		StepTimeout:   e.x.opts.StepTimeout,
 		ResumeRetries: e.x.opts.ResumeRetries,
@@ -275,7 +275,7 @@ func (e *execution) newManagerOver(jrn journal.Journal, epoch uint64) (*manager.
 		// Retry backoff advances the logical clock instead of sleeping, so
 		// fault schedules with retries stay fast and deterministic.
 		Sleep: func(_ context.Context, d time.Duration) error {
-			e.clock.advance(d)
+			e.clock.Advance(d)
 			return nil
 		},
 	})

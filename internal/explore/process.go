@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/action"
 	"repro/internal/protocol"
@@ -59,7 +60,7 @@ func (p *vproc) drainInbound() {
 
 func (p *vproc) InAction(step protocol.Step, ops []action.Op) error {
 	p.apply(ops)
-	p.e.logf("%s applies in-action %s: now {%s}", p.name, step.ActionID, joinComps(p.e.componentsOf(p.name)))
+	p.e.logf("%s applies in-action %s: now {%s}", p.name, step.ActionID, strings.Join(p.e.componentsOf(p.name), ","))
 	return nil
 }
 
@@ -117,15 +118,4 @@ func (p *vproc) applyInverse(ops []action.Op) {
 			p.comps[op.Old] = true
 		}
 	}
-}
-
-func joinComps(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ","
-		}
-		out += n
-	}
-	return out
 }

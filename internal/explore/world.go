@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -17,41 +18,14 @@ import (
 	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/replica"
+	"repro/internal/simnet"
 	"repro/internal/transport"
 )
-
-// logicalClock is the virtual time source shared by the manager, the
-// agents and the scheduler. It advances only when the scheduler applies
-// an event, so identical schedules yield identical timestamps.
-type logicalClock struct {
-	now time.Time
-}
-
-func (c *logicalClock) Now() time.Time { return c.now }
-
-func (c *logicalClock) advance(d time.Duration) { c.now = c.now.Add(d) }
-
-func (c *logicalClock) advanceTo(t time.Time) {
-	if t.After(c.now) {
-		c.now = t
-	}
-}
 
 // packet is one in-flight application packet.
 type packet struct {
 	cid ccs.CID
 	key string
-}
-
-// wire is one in-flight protocol message on one virtual link. from/to are
-// the link's endpoints — the hop the message currently rides, which in a
-// fleet deployment differs from the message's own From/To: an agent's ack
-// addressed to the manager first rides the agent→leaf-coordinator link,
-// and a coordinator forwards it (or an aggregate) on its own uplink. In a
-// flat deployment hop and address coincide.
-type wire struct {
-	msg      protocol.Message
-	from, to string
 }
 
 type choiceKind int
@@ -77,15 +51,22 @@ type choice struct {
 }
 
 // execution is one deterministic run of the full adaptation: the
-// manager, the agents, the virtual transport and the application model,
-// all driven from the scheduler on a single goroutine.
+// manager, the agents, the virtual network and the application model,
+// all driven from the scheduler on a single goroutine. It is the choice
+// policy of its simnet.Net (it implements simnet.World): every frame a
+// port accepts waits in pending until the chooser picks its delivery, its
+// loss, or a fault at its receiver.
 type execution struct {
 	x  *Explorer
 	m  *Model
 	ch chooser
 
-	reg       *model.Registry
-	clock     *logicalClock
+	reg *model.Registry
+	// clock is the virtual time source shared by the manager, the agents
+	// and the scheduler. It advances only when the scheduler applies an
+	// event, so identical schedules yield identical timestamps.
+	clock     *simnet.ManualClock
+	net       *simnet.Net
 	procs     map[string]*vproc
 	procNames []string
 	agents    map[string]*agent.Agent
@@ -98,8 +79,8 @@ type execution struct {
 	coords       map[string]*fleet.Coordinator
 	coordCrashes int
 
-	pending     []wire     // in-flight protocol messages, send order
-	flows       [][]packet // in-flight packets per model flow
+	pending     []simnet.Frame // in-flight protocol frames, send order
+	flows       [][]packet     // in-flight packets per model flow
 	nextCID     ccs.CID
 	packetsLeft int
 	faultsLeft  int
@@ -177,7 +158,7 @@ func newExecutionChurn(x *Explorer, ch chooser, cp *churnPlan) (*execution, erro
 		m:           x.m,
 		ch:          ch,
 		reg:         reg,
-		clock:       &logicalClock{now: time.Unix(0, 0).UTC()},
+		clock:       simnet.NewManualClock(time.Unix(0, 0).UTC()),
 		procs:       make(map[string]*vproc),
 		procNames:   reg.Processes(),
 		agents:      make(map[string]*agent.Agent),
@@ -209,8 +190,26 @@ func newExecutionChurn(x *Explorer, ch chooser, cp *churnPlan) (*execution, erro
 		p, _ := reg.ProcessOf(component)
 		return p
 	}
+	if x.m.FleetFanout > 0 {
+		topo, terr := fleet.NewTopology(append([]string(nil), e.procNames...), x.m.FleetFanout)
+		if terr != nil {
+			return nil, terr
+		}
+		e.topo = topo
+		e.net = simnet.New(e, topo)
+		e.coords = make(map[string]*fleet.Coordinator, len(topo.Coords))
+		for _, c := range topo.Coords {
+			if cerr := e.startCoord(c.Name); cerr != nil {
+				return nil, cerr
+			}
+		}
+	} else {
+		e.net = simnet.New(e, nil)
+	}
 	for _, pn := range e.procNames {
-		ag, err := agent.New(pn, &agentEndpoint{e: e, name: pn}, e.procs[pn], agent.Options{
+		// In fleet mode an agent's only physical connection is its uplink
+		// to its leaf coordinator, whatever a reply's To says.
+		ag, err := agent.New(pn, e.net.Up(pn), e.procs[pn], agent.Options{
 			ResetTimeout: x.opts.StepTimeout,
 			ProcessOf:    procOf,
 			Clock:        e.clock,
@@ -219,19 +218,7 @@ func newExecutionChurn(x *Explorer, ch chooser, cp *churnPlan) (*execution, erro
 			return nil, err
 		}
 		e.agents[pn] = ag
-	}
-	if x.m.FleetFanout > 0 {
-		topo, terr := fleet.NewTopology(append([]string(nil), e.procNames...), x.m.FleetFanout)
-		if terr != nil {
-			return nil, terr
-		}
-		e.topo = topo
-		e.coords = make(map[string]*fleet.Coordinator, len(topo.Coords))
-		for _, c := range topo.Coords {
-			if cerr := e.startCoord(c.Name); cerr != nil {
-				return nil, cerr
-			}
-		}
+		e.net.Attach(pn, ag)
 	}
 	if cp != nil {
 		if err := e.setupChurn(cp); err != nil {
@@ -253,10 +240,13 @@ func (e *execution) startCoord(name string) error {
 		return fmt.Errorf("explore: unknown coordinator %q", name)
 	}
 	k, err := fleet.NewCoordinator(fleet.Options{
-		Name:      c.Name,
-		Parent:    c.Parent,
-		Up:        &coordUplink{e: e, name: c.Name, parent: c.Parent},
-		Down:      &coordDownlink{e: e, name: c.Name},
+		Name:   c.Name,
+		Parent: c.Parent,
+		// Aggregated acks and raw forwards go one hop up; commands are
+		// relayed one hop down as frames of their own (the plain port: the
+		// explorer does not model the hub's re-batching).
+		Up:        e.net.Up(c.Name),
+		Down:      e.net.Down(c.Name),
 		Telemetry: e.x.tel,
 		// Fold any observability-plane reports the schedule delivers
 		// instead of relaying them raw; a crash-replaced coordinator
@@ -272,6 +262,7 @@ func (e *execution) startCoord(name string) error {
 		return err
 	}
 	e.coords[name] = k
+	e.net.AttachRelay(name, k)
 	return nil
 }
 
@@ -329,14 +320,9 @@ func (e *execution) crashCoord(name string) {
 	}
 	e.coordCrashes++
 	e.logf("fault: coordinator %s crashes and restarts stateless (%d journal records appended)", name, e.journal.Appends())
-	kept := e.pending[:0]
-	for _, w := range e.pending {
-		if w.from == name || w.to == name {
-			continue
-		}
-		kept = append(kept, w)
-	}
-	e.pending = kept
+	e.pending = slices.DeleteFunc(e.pending, func(w simnet.Frame) bool {
+		return w.From == name || w.To == name
+	})
 	if err := e.startCoord(name); err != nil {
 		// Construction already succeeded once in newExecution; unreachable.
 		panic(fmt.Sprintf("explore: restart coordinator %s: %v", name, err))
@@ -431,62 +417,28 @@ func (e *execution) violate(kind, detail string) {
 	})
 }
 
-// mgrEndpoint is the manager's virtual transport endpoint. Its Recv is
-// the scheduler: while the manager blocks in a protocol wait, the
-// explorer delivers messages, steps agents and injects faults, all on
-// the manager's own goroutine.
-type mgrEndpoint struct {
-	e *execution
-}
-
-func (ep *mgrEndpoint) Name() string { return protocol.ManagerName }
-
-func (ep *mgrEndpoint) Send(msg protocol.Message) error {
-	e := ep.e
-	msg.From = protocol.ManagerName
-	e.noteCommand(msg)
-	if e.crashed[msg.To] {
-		e.logf("send %s -> %s: receiver crashed, dropped", msg.Type, msg.To)
-		return nil
-	}
-	if e.topo != nil {
-		e.pushDownFromManager([]protocol.Message{msg})
-		return nil
-	}
-	e.push(msg, protocol.ManagerName, msg.To)
-	return nil
-}
-
-func (ep *mgrEndpoint) Inbox() <-chan protocol.Message { return nil }
-
-func (ep *mgrEndpoint) Close() error { return nil }
-
-func (ep *mgrEndpoint) Recv(ctx context.Context, deadline time.Time) (protocol.Message, transport.RecvStatus) {
-	return ep.e.schedule(ctx, deadline)
-}
-
-// fleetMgrEndpoint is the manager's endpoint in fleet mode. It adds
-// transport.BatchSender, so a whole wave leaves the manager as one
-// MsgBatch envelope per top-level coordinator link — the same shape the
-// root mux hub puts on real connections.
-type fleetMgrEndpoint struct {
-	mgrEndpoint
-}
-
-func (ep *fleetMgrEndpoint) SendBatch(msgs []protocol.Message) error {
-	e := ep.e
-	kept := make([]protocol.Message, 0, len(msgs))
-	for _, msg := range msgs {
-		msg.From = protocol.ManagerName
+// Admit is the send-side half of the choice policy: it sees every message
+// a port is asked to send, one by one, before a wave is packed into
+// envelopes. The manager's commands feed the point-of-no-return ledger,
+// and a message for a crashed process dies with that process's sockets.
+func (e *execution) Admit(port string, msg protocol.Message) bool {
+	verb := "relay"
+	if port == protocol.ManagerName {
 		e.noteCommand(msg)
-		if e.crashed[msg.To] {
-			e.logf("send %s -> %s: receiver crashed, dropped", msg.Type, msg.To)
-			continue
-		}
-		kept = append(kept, msg)
+		verb = "send"
 	}
-	e.pushDownFromManager(kept)
-	return nil
+	if e.crashed[msg.To] {
+		e.logf("%s %s -> %s: receiver crashed, dropped", verb, msg.Type, msg.To)
+		return false
+	}
+	return true
+}
+
+// Submit queues one frame on its virtual link, where it waits for the
+// scheduler to choose its fate. Dropping an envelope later (chDrop)
+// models the loss of a whole batched frame.
+func (e *execution) Submit(f simnet.Frame) {
+	e.pending = append(e.pending, f)
 }
 
 // noteCommand tracks the point of no return per step attempt and flags
@@ -512,141 +464,13 @@ func (e *execution) noteCommand(msg protocol.Message) {
 	}
 }
 
-// push queues one message on the from→to virtual link.
-func (e *execution) push(msg protocol.Message, from, to string) {
-	e.pending = append(e.pending, wire{msg: msg, from: from, to: to})
-}
-
-// pushDownFromManager fans manager commands into the fleet plane: one
-// MsgBatch envelope per top-level coordinator link, grouped in first-seen
-// order for determinism. Dropping such a wire later (chDrop) models the
-// loss of a whole batched frame.
-func (e *execution) pushDownFromManager(msgs []protocol.Message) {
-	var order []string
-	groups := make(map[string][]protocol.Message)
-	for _, msg := range msgs {
-		top, ok := e.topo.TopOf(msg.To)
-		if !ok {
-			// Not a fleet agent; deliver on a direct virtual link.
-			e.push(msg, protocol.ManagerName, msg.To)
-			continue
-		}
-		if _, seen := groups[top]; !seen {
-			order = append(order, top)
-		}
-		groups[top] = append(groups[top], msg)
-	}
-	for _, top := range order {
-		env := protocol.PackBatch(top, groups[top])
-		env.From = protocol.ManagerName
-		e.push(env, protocol.ManagerName, top)
-	}
-}
-
-// agentEndpoint carries agent replies back into the virtual network — in
-// fleet mode onto the agent's leaf-coordinator link, since the agent's
-// only physical connection is its uplink, whatever the message's To says.
-type agentEndpoint struct {
-	e    *execution
-	name string
-}
-
-func (ep *agentEndpoint) Name() string { return ep.name }
-
-func (ep *agentEndpoint) Send(msg protocol.Message) error {
-	e := ep.e
-	msg.From = ep.name
-	to := msg.To
-	if e.topo != nil {
-		if leaf, ok := e.topo.LeafOf(ep.name); ok {
-			to = leaf
-		}
-	}
-	e.push(msg, ep.name, to)
-	return nil
-}
-
-func (ep *agentEndpoint) Inbox() <-chan protocol.Message { return nil }
-
-func (ep *agentEndpoint) Close() error { return nil }
-
-// coordUplink carries one coordinator's upward traffic a single hop
-// toward its parent: aggregated acks (From set by the coordinator) and
-// raw forwarded messages (original From preserved), exactly like the real
-// multiplexed uplink connection.
-type coordUplink struct {
-	e            *execution
-	name, parent string
-}
-
-func (ep *coordUplink) Name() string { return ep.name }
-
-func (ep *coordUplink) Send(msg protocol.Message) error {
-	if msg.From == "" {
-		msg.From = ep.name
-	}
-	ep.e.push(msg, ep.name, ep.parent)
-	return nil
-}
-
-func (ep *coordUplink) Inbox() <-chan protocol.Message { return nil }
-
-func (ep *coordUplink) Close() error { return nil }
-
-// coordDownlink relays agent-addressed commands one hop down the tree:
-// straight to the agent from its leaf coordinator, or to the child
-// coordinator whose subtree covers the target above the leaf level.
-type coordDownlink struct {
-	e    *execution
-	name string
-}
-
-func (ep *coordDownlink) Name() string { return ep.name }
-
-func (ep *coordDownlink) Send(msg protocol.Message) error {
-	e := ep.e
-	if e.crashed[msg.To] {
-		e.logf("relay %s -> %s: receiver crashed, dropped", msg.Type, msg.To)
-		return nil
-	}
-	e.push(msg, ep.name, e.nextHopDown(ep.name, msg.To))
-	return nil
-}
-
-func (ep *coordDownlink) Inbox() <-chan protocol.Message { return nil }
-
-func (ep *coordDownlink) Close() error { return nil }
-
-// nextHopDown returns the link a downward message to the named agent
-// takes from the named coordinator: the agent itself when it is a direct
-// child, else the child coordinator covering it.
-func (e *execution) nextHopDown(coord, agent string) string {
-	c, ok := e.topo.Coord(coord)
-	if !ok {
-		return agent
-	}
-	for _, child := range c.Children {
-		if child == agent {
-			return agent
-		}
-		cc, isCoord := e.topo.Coord(child)
-		if !isCoord {
-			continue
-		}
-		for _, covered := range cc.Covers {
-			if covered == agent {
-				return child
-			}
-		}
-	}
-	return agent
-}
-
-// schedule is the scheduler loop, entered whenever the manager blocks in
-// a protocol wait. It applies chosen events until one resolves the wait:
-// a manager-bound delivery (RecvOK) or a timeout (forced when nothing is
-// deliverable, injected as a fault otherwise).
-func (e *execution) schedule(ctx context.Context, deadline time.Time) (protocol.Message, transport.RecvStatus) {
+// Recv is the scheduler loop, entered whenever the manager blocks in a
+// protocol wait: while it does, the explorer delivers frames, steps
+// agents and injects faults, all on the manager's own goroutine. It
+// applies chosen events until one resolves the wait: a manager-bound
+// delivery (RecvOK) or a timeout (forced when nothing is deliverable,
+// injected as a fault otherwise).
+func (e *execution) Recv(ctx context.Context, deadline time.Time) (protocol.Message, transport.RecvStatus) {
 	for {
 		if ctx.Err() != nil {
 			return protocol.Message{}, transport.RecvAborted
@@ -656,7 +480,7 @@ func (e *execution) schedule(ctx context.Context, deadline time.Time) (protocol.
 		}
 		cs := e.choicesNow()
 		if len(cs) == 0 {
-			e.clock.advanceTo(deadline)
+			e.clock.AdvanceTo(deadline)
 			e.logf("timeout: nothing deliverable")
 			return protocol.Message{}, transport.RecvTimeout
 		}
@@ -667,26 +491,24 @@ func (e *execution) schedule(ctx context.Context, deadline time.Time) (protocol.
 			return protocol.Message{}, transport.RecvClosed
 		}
 		c := cs[e.ch.choose(len(cs))]
-		e.clock.advance(time.Millisecond)
+		e.clock.Advance(time.Millisecond)
 		switch c.kind {
 		case chMgrRecv:
 			w := e.takePending(c.from, protocol.ManagerName)
-			e.logf("deliver %q %s -> manager", w.msg.Type.String(), c.from)
-			return w.msg, transport.RecvOK
+			e.logf("deliver %q %s -> manager", w.Msg.Type.String(), c.from)
+			return w.Msg, transport.RecvOK
 		case chCoordRecv:
 			w := e.takePending(c.from, c.to)
-			k := e.coords[c.to]
-			if cd, ok := e.topo.Coord(c.to); ok && c.from == cd.Parent {
-				e.logf("deliver %q %s -> %s (down)", w.msg.Type.String(), c.from, c.to)
-				k.DeliverFromParent(w.msg)
-			} else {
-				e.logf("deliver %q %s -> %s (up)", w.msg.Type.String(), c.from, c.to)
-				k.DeliverFromChild(w.msg)
+			dir := "up"
+			if w.Down {
+				dir = "down"
 			}
+			e.logf("deliver %q %s -> %s (%s)", w.Msg.Type.String(), c.from, c.to, dir)
+			e.net.Deliver(w)
 		case chAgentRecv:
 			w := e.takePending(c.from, c.to)
-			e.logf("deliver %q -> %s", w.msg.Type.String(), c.to)
-			e.agents[c.to].Deliver(w.msg)
+			e.logf("deliver %q -> %s", w.Msg.Type.String(), c.to)
+			e.net.Deliver(w)
 		case chAppDeliver:
 			pk := e.flows[c.flow][0]
 			e.flows[c.flow] = e.flows[c.flow][1:]
@@ -695,26 +517,26 @@ func (e *execution) schedule(ctx context.Context, deadline time.Time) (protocol.
 			e.emit(c.sender)
 		case chTimeout:
 			e.faultsLeft--
-			e.clock.advanceTo(deadline)
+			e.clock.AdvanceTo(deadline)
 			e.logf("fault: manager wait times out")
 			return protocol.Message{}, transport.RecvTimeout
 		case chDrop:
 			w := e.takePending(c.from, c.to)
 			e.faultsLeft--
-			e.logf("fault: drop %q %s -> %s", w.msg.Type.String(), c.from, c.to)
+			e.logf("fault: drop %q %s -> %s", w.Msg.Type.String(), c.from, c.to)
 		case chFailReset:
 			w := e.takePending(c.from, c.to)
 			e.faultsLeft--
 			e.procs[c.to].failNextReset = true
 			e.logf("fault: %s fails to reset", c.to)
-			e.agents[c.to].Deliver(w.msg)
+			e.net.Deliver(w)
 		case chCrash:
 			w := e.takePending(c.from, c.to)
 			e.faultsLeft--
 			e.crashed[c.to] = true
 			e.anyCrash = true
 			e.purgePendingTo(c.to)
-			e.logf("fault: %s crashes on receipt of %q", c.to, w.msg.Type.String())
+			e.logf("fault: %s crashes on receipt of %q", c.to, w.Msg.Type.String())
 		}
 		e.checkRunningState()
 	}
@@ -734,24 +556,24 @@ func (e *execution) choicesNow() []choice {
 	var mgrHeads, coordHeads, agHeads []choice
 	var dropHeads, failHeads, crashHeads []choice
 	for _, w := range e.pending {
-		p := pair{w.from, w.to}
+		p := pair{w.From, w.To}
 		if seen[p] {
 			continue
 		}
 		seen[p] = true
 		switch {
-		case w.to == protocol.ManagerName:
-			mgrHeads = append(mgrHeads, choice{kind: chMgrRecv, from: w.from, to: w.to})
-		case e.coords[w.to] != nil:
-			coordHeads = append(coordHeads, choice{kind: chCoordRecv, from: w.from, to: w.to})
+		case w.To == protocol.ManagerName:
+			mgrHeads = append(mgrHeads, choice{kind: chMgrRecv, from: w.From, to: w.To})
+		case e.coords[w.To] != nil:
+			coordHeads = append(coordHeads, choice{kind: chCoordRecv, from: w.From, to: w.To})
 		default:
-			agHeads = append(agHeads, choice{kind: chAgentRecv, from: w.from, to: w.to})
-			if w.msg.Type == protocol.MsgReset {
-				failHeads = append(failHeads, choice{kind: chFailReset, from: w.from, to: w.to})
+			agHeads = append(agHeads, choice{kind: chAgentRecv, from: w.From, to: w.To})
+			if w.Msg.Type == protocol.MsgReset {
+				failHeads = append(failHeads, choice{kind: chFailReset, from: w.From, to: w.To})
 			}
-			crashHeads = append(crashHeads, choice{kind: chCrash, from: w.from, to: w.to})
+			crashHeads = append(crashHeads, choice{kind: chCrash, from: w.From, to: w.To})
 		}
-		dropHeads = append(dropHeads, choice{kind: chDrop, from: w.from, to: w.to})
+		dropHeads = append(dropHeads, choice{kind: chDrop, from: w.From, to: w.To})
 	}
 	cs = append(cs, mgrHeads...)
 	cs = append(cs, coordHeads...)
@@ -800,9 +622,9 @@ func (e *execution) choicesNow() []choice {
 
 // takePending removes and returns the oldest pending message on the
 // from→to link.
-func (e *execution) takePending(from, to string) wire {
+func (e *execution) takePending(from, to string) simnet.Frame {
 	for i, w := range e.pending {
-		if w.from == from && w.to == to {
+		if w.From == from && w.To == to {
 			e.pending = append(e.pending[:i], e.pending[i+1:]...)
 			return w
 		}
@@ -814,13 +636,7 @@ func (e *execution) takePending(from, to string) wire {
 // purgePendingTo drops every wire riding a link into the named endpoint —
 // what dies with that endpoint's sockets.
 func (e *execution) purgePendingTo(to string) {
-	kept := e.pending[:0]
-	for _, w := range e.pending {
-		if w.to != to {
-			kept = append(kept, w)
-		}
-	}
-	e.pending = kept
+	e.pending = slices.DeleteFunc(e.pending, func(w simnet.Frame) bool { return w.To == to })
 }
 
 // encoderKey returns the key the process would emit with, requiring

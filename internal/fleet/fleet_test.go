@@ -55,11 +55,24 @@ func TestTopologyShape(t *testing.T) {
 		if seen[a] != 1 {
 			t.Fatalf("agent %s covered %d times at level 0", a, seen[a])
 		}
-		if _, ok := topo.LeafOf(a); !ok {
+		if _, ok := topo.Uplink(a); !ok {
 			t.Fatalf("agent %s has no leaf", a)
 		}
-		if _, ok := topo.TopOf(a); !ok {
-			t.Fatalf("agent %s has no top", a)
+		// Routing down from the root reaches the agent in Depth() hops,
+		// and the first hop up from it is where the last hop down came from.
+		at, hops := protocol.ManagerName, 0
+		for at != a {
+			next, ok := topo.NextHopDown(at, a)
+			if !ok {
+				t.Fatalf("no hop from %s toward %s", at, a)
+			}
+			if up, _ := topo.Uplink(next); up != at {
+				t.Fatalf("%s reached from %s but its uplink is %s", next, at, up)
+			}
+			at, hops = next, hops+1
+		}
+		if hops != topo.Depth()+1 {
+			t.Fatalf("agent %s is %d hops below the root, want %d", a, hops, topo.Depth()+1)
 		}
 	}
 }

@@ -111,7 +111,7 @@ func NewRig(topo *Topology, opts RigOptions) (rig *Rig, err error) {
 
 	// Agents attach to their leaf coordinator's hub.
 	for _, a := range topo.Agents {
-		leaf, _ := topo.LeafOf(a)
+		leaf, _ := topo.Uplink(a)
 		addr := r.hubs[leaf].Addr()
 		client, cerr := transport.DialMux(func() string { return addr }, opts.RedialDelay)
 		if cerr != nil {

@@ -28,17 +28,13 @@ func TestFleetAdaptationOverTCP(t *testing.T) {
 	}
 	defer rig.Close()
 
-	reg, pl, source, target, err := simScenario()
+	reg, pl, source, target, err := DemoScenario()
 	if err != nil {
 		t.Fatal(err)
 	}
-	processOf := func(component string) string {
-		p, _ := componentProcess(reg, component)
-		return p
-	}
 	for _, name := range topo.Agents {
 		ag, aerr := agent.New(name, rig.AgentEndpoint(name), NopProcess{}, agent.Options{
-			ProcessOf: processOf,
+			ProcessOf: DemoProcessOf(reg),
 		})
 		if aerr != nil {
 			t.Fatal(aerr)

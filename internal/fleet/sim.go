@@ -21,6 +21,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/planner"
 	"repro/internal/protocol"
+	"repro/internal/simnet"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -120,11 +121,9 @@ type SimResult struct {
 }
 
 type simEvent struct {
-	at   time.Time
-	seq  int
-	to   string
-	down bool // true when sent parent→child (relative to the receiver)
-	msg  protocol.Message
+	at    time.Time
+	seq   int
+	frame simnet.Frame
 }
 
 type eventHeap []simEvent
@@ -142,28 +141,21 @@ func (h *eventHeap) Pop() any      { old := *h; n := len(old); ev := old[n-1]; *
 func (h eventHeap) peek() simEvent { return h[0] }
 func (h eventHeap) empty() bool    { return len(h) == 0 }
 
-// port models one endpoint's serial attachment to the network.
-type port struct {
-	egressFree  time.Time
-	ingressFree time.Time
-}
-
+// sim is the simulator's cost policy over a simnet.Net: it implements
+// simnet.World, charging each submitted frame its serialization, latency
+// and jitter and delivering frames in virtual-time order.
 type sim struct {
 	cfg   SimConfig
-	now   time.Time
+	clock *simnet.ManualClock
+	net   *simnet.Net
 	seq   int
 	queue eventHeap
 	rng   *rand.Rand
 
-	topo   *Topology // nil when flat
-	agents map[string]*agent.Agent
-	coords map[string]*Coordinator
-	// childOf[coord][agent] = the coord child the agent's traffic
-	// descends through (the agent itself at level 0).
-	childOf map[string]map[string]string
-	upOf    map[string]string // agent → its uplink entity
-	ports   map[string]*port
-	names   []string // all agent names, sorted
+	// Each endpoint is a serial port on the network: when its egress and
+	// its ingress are next free (the zero time: never used).
+	egressFree, ingressFree map[string]time.Time
+	names                   []string // all agent names, sorted
 
 	waveStart map[string]time.Time
 	credited  map[string]map[string]bool
@@ -200,7 +192,7 @@ func (s *sim) sampleCapture() {
 		return
 	}
 	s.capNames, s.capVals = s.fleetState.Registry().AppendCaptureSample(s.capNames[:0], s.capVals[:0])
-	_ = s.capW.WriteSample(s.now.UnixNano(), s.capNames, s.capVals)
+	_ = s.capW.WriteSample(s.clock.Now().UnixNano(), s.capNames, s.capVals)
 }
 
 func maxTime(a, b time.Time) time.Time {
@@ -210,35 +202,33 @@ func maxTime(a, b time.Time) time.Time {
 	return b
 }
 
-func (s *sim) port(name string) *port {
-	p := s.ports[name]
-	if p == nil {
-		p = &port{}
-		s.ports[name] = p
-	}
-	return p
-}
-
-// transmit schedules one frame carrying `units` serialized messages from
-// one entity to another: the frame occupies the sender's egress, crosses
-// the link (latency + jitter), then occupies the receiver's ingress.
-func (s *sim) transmit(from, to string, msg protocol.Message, units int, down bool) {
-	cost := s.cfg.FrameOverhead + time.Duration(units)*s.cfg.PerMsg
-	fp := s.port(from)
-	dep := maxTime(s.now, fp.egressFree)
-	fp.egressFree = dep.Add(cost)
+// Submit schedules one frame: it occupies the sender's egress for its
+// serialized size, crosses the link (latency + jitter), then occupies the
+// receiver's ingress.
+func (s *sim) Submit(f simnet.Frame) {
+	cost := s.cfg.FrameOverhead + time.Duration(f.Units)*s.cfg.PerMsg
+	dep := maxTime(s.clock.Now(), s.egressFree[f.From])
+	s.egressFree[f.From] = dep.Add(cost)
 	jit := time.Duration(0)
 	if s.cfg.Jitter > 0 {
 		jit = time.Duration(s.rng.Int63n(int64(s.cfg.Jitter)))
 	}
-	tp := s.port(to)
-	arr := maxTime(dep.Add(cost+s.cfg.LinkLatency+jit), tp.ingressFree).Add(cost)
-	tp.ingressFree = arr
-	if from == protocol.ManagerName {
+	arr := maxTime(dep.Add(cost+s.cfg.LinkLatency+jit), s.ingressFree[f.To]).Add(cost)
+	s.ingressFree[f.To] = arr
+	if f.From == protocol.ManagerName {
 		s.rootFrames++
 	}
 	s.seq++
-	heap.Push(&s.queue, simEvent{at: arr, seq: s.seq, to: to, down: down, msg: msg})
+	heap.Push(&s.queue, simEvent{at: arr, seq: s.seq, frame: f})
+}
+
+// Admit vetoes nothing: it is where the root's commands are seen one by
+// one, before a wave is packed into envelopes.
+func (s *sim) Admit(port string, msg protocol.Message) bool {
+	if port == protocol.ManagerName {
+		s.markWaveStart(msg)
+	}
+	return true
 }
 
 // markWaveStart records the instant the root fires the first command of a
@@ -257,7 +247,7 @@ func (s *sim) markWaveStart(msg protocol.Message) {
 
 func (s *sim) startIfAbsent(key string) {
 	if _, ok := s.waveStart[key]; !ok {
-		s.waveStart[key] = s.now
+		s.waveStart[key] = s.clock.Now()
 	}
 }
 
@@ -303,236 +293,70 @@ func (s *sim) credit(msg protocol.Message) {
 			s.samples = append(s.samples, WaveSample{
 				Step:    fmt.Sprintf("%d.%d", msg.Step.PathIndex, msg.Step.Attempt),
 				Wave:    wave,
-				Latency: s.now.Sub(start),
+				Latency: s.clock.Now().Sub(start),
 			})
 		}
 	}
 }
 
-// pump advances the event loop until a root-bound message is due (returned)
+// Recv is the manager's blocking receive and the event loop: it advances,
+// on the manager's goroutine, until a root-bound message is due (returned)
 // or the virtual deadline passes. Report emission rounds interleave with
 // network events in strict virtual-time order.
-func (s *sim) pump(deadline time.Time) (protocol.Message, transport.RecvStatus) {
+func (s *sim) Recv(ctx context.Context, deadline time.Time) (protocol.Message, transport.RecvStatus) {
+	if ctx.Err() != nil {
+		return protocol.Message{}, transport.RecvAborted
+	}
 	for {
 		if s.cfg.Rollup {
 			// Fire every emission round due before the next network event
 			// (or the deadline, when the queue is quiet).
 			for !s.nextEmit.After(deadline) &&
 				(s.queue.empty() || !s.nextEmit.After(s.queue.peek().at)) {
-				s.now = maxTime(s.now, s.nextEmit)
+				s.clock.AdvanceTo(s.nextEmit)
 				s.emitRound()
 				s.nextEmit = s.nextEmit.Add(s.cfg.ReportEvery)
 			}
 		}
 		if s.queue.empty() || s.queue.peek().at.After(deadline) {
-			s.now = maxTime(s.now, deadline)
+			s.clock.AdvanceTo(deadline)
 			return protocol.Message{}, transport.RecvTimeout
 		}
 		ev := heap.Pop(&s.queue).(simEvent)
-		s.now = maxTime(s.now, ev.at)
-		if ev.to == protocol.ManagerName {
-			s.rootRecv++
-			if ev.msg.Type == protocol.MsgMetricReport {
-				// Observability-plane traffic: account for it at the root
-				// boundary and absorb it into the fleet model without ever
-				// surfacing it at the manager's protocol Recv.
-				s.reportFrames++
-				if b, err := json.Marshal(ev.msg); err == nil {
-					s.reportBytes += int64(len(b))
-				}
-				if s.fleetState != nil {
-					s.fleetState.Absorb(ev.msg)
-					s.sampleCapture()
-				}
-				continue
-			}
-			s.credit(ev.msg)
-			return ev.msg, transport.RecvOK
+		s.clock.AdvanceTo(ev.at)
+		msg, atRoot := s.net.Deliver(ev.frame)
+		if !atRoot {
+			continue
 		}
-		if c := s.coords[ev.to]; c != nil {
-			if ev.down {
-				c.DeliverFromParent(ev.msg)
-			} else {
-				c.DeliverFromChild(ev.msg)
+		s.rootRecv++
+		if msg.Type == protocol.MsgMetricReport {
+			// Observability-plane traffic: account for it at the root
+			// boundary and absorb it into the fleet model without ever
+			// surfacing it at the manager's protocol Recv.
+			s.reportFrames++
+			if b, err := json.Marshal(msg); err == nil {
+				s.reportBytes += int64(len(b))
+			}
+			if s.fleetState != nil {
+				s.fleetState.Absorb(msg)
+				s.sampleCapture()
 			}
 			continue
 		}
-		if ag := s.agents[ev.to]; ag != nil {
-			ag.Deliver(ev.msg)
-		}
+		s.credit(msg)
+		return msg, transport.RecvOK
 	}
 }
-
-// --- root endpoints ---------------------------------------------------
-
-// flatRoot is the manager's endpoint in a flat deployment: every command
-// is its own frame on the manager's single egress (no SendBatch — the
-// O(n) serial cost is the baseline being measured).
-type flatRoot struct{ s *sim }
-
-func (r *flatRoot) Name() string                   { return protocol.ManagerName }
-func (r *flatRoot) Inbox() <-chan protocol.Message { return nil }
-func (r *flatRoot) Close() error                   { return nil }
-func (r *flatRoot) Send(msg protocol.Message) error {
-	r.s.markWaveStart(msg)
-	r.s.transmit(protocol.ManagerName, msg.To, msg, 1, true)
-	return nil
-}
-func (r *flatRoot) Recv(ctx context.Context, deadline time.Time) (protocol.Message, transport.RecvStatus) {
-	if ctx.Err() != nil {
-		return protocol.Message{}, transport.RecvAborted
-	}
-	return r.s.pump(deadline)
-}
-
-// hierRoot is the manager's endpoint over the coordinator tree: a wave
-// leaves as one batched frame per top-level coordinator.
-type hierRoot struct{ s *sim }
-
-func (r *hierRoot) Name() string                   { return protocol.ManagerName }
-func (r *hierRoot) Inbox() <-chan protocol.Message { return nil }
-func (r *hierRoot) Close() error                   { return nil }
-func (r *hierRoot) Send(msg protocol.Message) error {
-	r.s.markWaveStart(msg)
-	top, ok := r.s.topo.TopOf(msg.To)
-	if !ok {
-		return fmt.Errorf("fleet sim: no coordinator covers %q", msg.To)
-	}
-	r.s.transmit(protocol.ManagerName, top, msg, 1, true)
-	return nil
-}
-func (r *hierRoot) SendBatch(msgs []protocol.Message) error {
-	groups := make(map[string][]protocol.Message)
-	var order []string
-	for _, msg := range msgs {
-		r.s.markWaveStart(msg)
-		top, ok := r.s.topo.TopOf(msg.To)
-		if !ok {
-			return fmt.Errorf("fleet sim: no coordinator covers %q", msg.To)
-		}
-		if _, seen := groups[top]; !seen {
-			order = append(order, top)
-		}
-		groups[top] = append(groups[top], msg)
-	}
-	for _, top := range order {
-		group := groups[top]
-		env := protocol.PackBatch(top, group)
-		r.s.transmit(protocol.ManagerName, top, env, len(group), true)
-	}
-	return nil
-}
-func (r *hierRoot) Recv(ctx context.Context, deadline time.Time) (protocol.Message, transport.RecvStatus) {
-	if ctx.Err() != nil {
-		return protocol.Message{}, transport.RecvAborted
-	}
-	return r.s.pump(deadline)
-}
-
-// --- coordinator and agent endpoints ----------------------------------
-
-// coordUp carries a coordinator's upward traffic to its parent.
-type coordUp struct {
-	s *sim
-	c Coord
-}
-
-func (e *coordUp) Name() string                   { return e.c.Name }
-func (e *coordUp) Inbox() <-chan protocol.Message { return nil }
-func (e *coordUp) Close() error                   { return nil }
-func (e *coordUp) Send(msg protocol.Message) error {
-	if msg.From == "" {
-		msg.From = e.c.Name
-	}
-	e.s.transmit(e.c.Name, e.c.Parent, msg, 1, false)
-	return nil
-}
-
-// coordDown carries a coordinator's downward traffic: per-agent frames at
-// a leaf, re-batched envelopes per child coordinator above.
-type coordDown struct {
-	s *sim
-	c Coord
-}
-
-func (e *coordDown) Name() string                   { return e.c.Name }
-func (e *coordDown) Inbox() <-chan protocol.Message { return nil }
-func (e *coordDown) Close() error                   { return nil }
-func (e *coordDown) next(to string) (string, error) {
-	if e.c.Level == 0 {
-		return to, nil
-	}
-	child := e.s.childOf[e.c.Name][to]
-	if child == "" {
-		return "", fmt.Errorf("fleet sim: %s has no child covering %q", e.c.Name, to)
-	}
-	return child, nil
-}
-func (e *coordDown) Send(msg protocol.Message) error {
-	hop, err := e.next(msg.To)
-	if err != nil {
-		return err
-	}
-	e.s.transmit(e.c.Name, hop, msg, 1, true)
-	return nil
-}
-func (e *coordDown) SendBatch(msgs []protocol.Message) error {
-	if e.c.Level == 0 {
-		for _, msg := range msgs {
-			e.s.transmit(e.c.Name, msg.To, msg, 1, true)
-		}
-		return nil
-	}
-	groups := make(map[string][]protocol.Message)
-	var order []string
-	for _, msg := range msgs {
-		hop, err := e.next(msg.To)
-		if err != nil {
-			return err
-		}
-		if _, seen := groups[hop]; !seen {
-			order = append(order, hop)
-		}
-		groups[hop] = append(groups[hop], msg)
-	}
-	for _, hop := range order {
-		group := groups[hop]
-		env := protocol.PackBatch(hop, group)
-		e.s.transmit(e.c.Name, hop, env, len(group), true)
-	}
-	return nil
-}
-
-// agentUp carries one agent's replies to its uplink (leaf coordinator, or
-// the manager when flat).
-type agentUp struct {
-	s    *sim
-	name string
-}
-
-func (e *agentUp) Name() string                   { return e.name }
-func (e *agentUp) Inbox() <-chan protocol.Message { return nil }
-func (e *agentUp) Close() error                   { return nil }
-func (e *agentUp) Send(msg protocol.Message) error {
-	if msg.From == "" {
-		msg.From = e.name
-	}
-	e.s.transmit(e.name, e.s.upOf[e.name], msg, 1, false)
-	return nil
-}
-
-// simClock reads the simulator's virtual time.
-type simClock struct{ s *sim }
-
-func (c simClock) Now() time.Time { return c.s.now }
 
 // --- scenario ---------------------------------------------------------
 
-// simScenario builds the synthetic 5-step adaptation: five component
-// pairs (Ai, Bi) on one host process, a oneof invariant per pair, and
-// five replace actions — a 5-step MAP from all-A to all-B. Every step's
-// participants are then extended to the whole fleet by conscription.
-func simScenario() (*model.Registry, *planner.Planner, model.Config, model.Config, error) {
+// DemoScenario builds the synthetic 5-step adaptation the simulator, the
+// rig test and `videodemo -fleet` all run: five component pairs (Ai, Bi)
+// on one host process, a oneof invariant per pair, and five replace
+// actions — a 5-step MAP from all-A to all-B. The manager's reset-phase
+// policy then conscripts every agent in the fleet into every step, so each
+// wave genuinely spans the whole tree.
+func DemoScenario() (*model.Registry, *planner.Planner, model.Config, model.Config, error) {
 	const host = "node-00000"
 	var comps []model.Component
 	var invs []invariant.Invariant
@@ -580,6 +404,16 @@ func simScenario() (*model.Registry, *planner.Planner, model.Config, model.Confi
 	return reg, pl, source, target, nil
 }
 
+// DemoProcessOf returns the component→process resolver for DemoScenario,
+// in the shape agent.Options.ProcessOf expects (unknown components map to
+// "").
+func DemoProcessOf(reg *model.Registry) func(string) string {
+	return func(component string) string {
+		p, _ := reg.ProcessOf(component)
+		return p
+	}
+}
+
 // RunSim executes one full adaptation over the simulated fleet and
 // returns the measured wave-latency samples.
 func RunSim(cfg SimConfig) (*SimResult, error) {
@@ -621,56 +455,35 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	}
 
 	s := &sim{
-		cfg:       cfg,
-		now:       time.Unix(0, 0),
-		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
-		agents:    make(map[string]*agent.Agent),
-		coords:    make(map[string]*Coordinator),
-		childOf:   make(map[string]map[string]string),
-		upOf:      make(map[string]string),
-		ports:     make(map[string]*port),
-		waveStart: make(map[string]time.Time),
-		credited:  make(map[string]map[string]bool),
-		sampled:   make(map[string]bool),
+		cfg:         cfg,
+		clock:       simnet.NewManualClock(time.Unix(0, 0)),
+		rng:         rand.New(rand.NewSource(cfg.Seed + 1)),
+		egressFree:  make(map[string]time.Time),
+		ingressFree: make(map[string]time.Time),
+		waveStart:   make(map[string]time.Time),
+		credited:    make(map[string]map[string]bool),
+		sampled:     make(map[string]bool),
 	}
 	for i := 0; i < cfg.Agents; i++ {
 		s.names = append(s.names, fmt.Sprintf("node-%05d", i))
 	}
 	sort.Strings(s.names)
 
-	reg, pl, source, target, err := simScenario()
+	reg, pl, source, target, err := DemoScenario()
 	if err != nil {
 		return nil, err
 	}
-	processOf := func(component string) string {
-		if c, cerr := componentProcess(reg, component); cerr == nil {
-			return c
-		}
-		return ""
-	}
-
-	clock := simClock{s}
-	for _, name := range s.names {
-		ag, aerr := agent.New(name, &agentUp{s: s, name: name}, NopProcess{}, agent.Options{
-			ResetTimeout: time.Hour, // virtual-time run; never fires
-			ProcessOf:    processOf,
-			Clock:        clock,
-		})
-		if aerr != nil {
-			return nil, aerr
-		}
-		s.agents[name] = ag
-	}
-
 	res := &SimResult{}
-	var root transport.Endpoint
+	var topo *Topology // nil when flat
+	// Flat, the manager genuinely needs an O(n) stash: all n agents send
+	// "adapt done" on the heels of "reset done", while it is still
+	// collecting the reset wave.
 	maxStash := cfg.Agents + 64
 	if cfg.Fanout > 0 {
-		topo, terr := NewTopology(s.names, cfg.Fanout)
-		if terr != nil {
-			return nil, terr
+		if topo, err = NewTopology(s.names, cfg.Fanout); err != nil {
+			return nil, err
 		}
-		s.topo = topo
+		s.net = simnet.New(s, topo)
 		res.Depth = topo.Depth()
 		res.Coords = len(topo.Coords)
 		for _, c := range topo.Coords {
@@ -685,8 +498,10 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			coord, cerr := NewCoordinator(Options{
 				Name:   c.Name,
 				Parent: c.Parent,
-				Up:     &coordUp{s: s, c: c},
-				Down:   &coordDown{s: s, c: c},
+				Up:     s.net.Up(c.Name),
+				// Per-agent frames at a leaf, re-batched envelopes per child
+				// coordinator above.
+				Down: simnet.BatchPort{Port: s.net.Down(c.Name)},
 				// Track every concurrently open wave of the shard.
 				MaxBuckets: 3 * (len(c.Covers) + 2),
 				Rollup:     ru,
@@ -694,45 +509,48 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			if cerr != nil {
 				return nil, cerr
 			}
-			s.coords[c.Name] = coord
-			if c.Level > 0 {
-				m := make(map[string]string)
-				for _, child := range c.Children {
-					cc, _ := topo.Coord(child)
-					for _, a := range cc.Covers {
-						m[a] = child
-					}
-				}
-				s.childOf[c.Name] = m
-			}
+			s.net.AttachRelay(c.Name, coord)
 		}
-		for _, name := range s.names {
-			leaf, _ := topo.LeafOf(name)
-			s.upOf[name] = leaf
-		}
-		root = &hierRoot{s: s}
 		// The root only ever sees O(fan-out) aggregated acks in flight,
 		// so the default out-of-order stash would do; size it to the
 		// root links for clarity.
 		maxStash = len(topo.Roots) + 64
 	} else {
-		for _, name := range s.names {
-			s.upOf[name] = protocol.ManagerName
+		s.net = simnet.New(s, nil)
+	}
+	// A wave leaves the root of a tree as one batched frame per top-level
+	// coordinator; flat, every link ends at its addressee, so each command
+	// stays a frame of its own on the manager's single egress — the O(n)
+	// serial cost that is the baseline being measured.
+	root := simnet.BatchPort{Port: s.net.Down(protocol.ManagerName)}
+
+	processOf := DemoProcessOf(reg)
+	agents := make(map[string]*agent.Agent, len(s.names))
+	for _, name := range s.names {
+		ag, aerr := agent.New(name, s.net.Up(name), NopProcess{}, agent.Options{
+			ResetTimeout: time.Hour, // virtual-time run; never fires
+			ProcessOf:    processOf,
+			Clock:        s.clock,
+		})
+		if aerr != nil {
+			return nil, aerr
 		}
-		root = &flatRoot{s: s}
-		// Flat mode genuinely needs an O(n) stash: all n agents send
-		// "adapt done" on the heels of "reset done", and the manager is
-		// still collecting the reset wave when they land.
+		agents[name] = ag
+		s.net.Attach(name, ag)
 	}
 
 	var observer manager.WaveObserver
 	if cfg.Rollup {
 		for i, name := range s.names {
 			src := &synthSource{idx: i, lat: &telemetry.Sketch{}}
-			em, eerr := fleetobs.NewEmitter(&agentUp{s: s, name: name}, fleetobs.EmitterOptions{
+			uplink := protocol.ManagerName
+			if topo != nil {
+				uplink, _ = topo.Uplink(name)
+			}
+			em, eerr := fleetobs.NewEmitter(s.net.Up(name), fleetobs.EmitterOptions{
 				Node:          name,
-				To:            s.upOf[name],
-				Epoch:         s.agents[name].Epoch,
+				To:            uplink,
+				Epoch:         agents[name].Epoch,
 				Source:        src.digest,
 				LatencyMetric: "agent.ack_ns",
 			})
@@ -741,15 +559,15 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			}
 			s.emitters = append(s.emitters, em)
 		}
-		s.nextEmit = s.now.Add(cfg.ReportEvery)
+		s.nextEmit = s.clock.Now().Add(cfg.ReportEvery)
 
 		if cfg.CapturePath != "" {
 			// Shards at the granularity the root actually sees: its direct
 			// children (top coordinators, or the agents themselves when flat).
 			shards := make(map[string][]string)
-			if s.topo != nil {
-				for _, r := range s.topo.Roots {
-					c, _ := s.topo.Coord(r)
+			if topo != nil {
+				for _, r := range topo.Roots {
+					c, _ := topo.Coord(r)
 					shards[r] = c.Covers
 				}
 			} else {
@@ -758,7 +576,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 				}
 			}
 			fs, ferr := fleetobs.NewFleetState(fleetobs.StateOptions{
-				Clock:          clock,
+				Clock:          s.clock,
 				Shards:         shards,
 				ReportInterval: cfg.ReportEvery,
 				OnWave:         s.sampleCapture,
@@ -780,9 +598,9 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	allPhases := [][]string{s.names}
 	mgr, merr := manager.New(root, pl, manager.Options{
 		StepTimeout: 30 * time.Second, // virtual
-		Clock:       clock,
+		Clock:       s.clock,
 		Sleep: func(ctx context.Context, d time.Duration) error {
-			s.now = s.now.Add(d)
+			s.clock.Advance(d)
 			return ctx.Err()
 		},
 		Journal:     journal.NewMem(),
@@ -802,9 +620,9 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		// Drain the reports still in flight when the adaptation finished,
 		// so per-interval accounting covers every completed emission round.
 		// Emission stops first, or the drain would never converge.
-		s.nextEmit = s.now.Add(365 * 24 * time.Hour)
+		s.nextEmit = s.clock.Now().Add(365 * 24 * time.Hour)
 		for !s.queue.empty() {
-			s.pump(s.queue.peek().at)
+			s.Recv(context.Background(), s.queue.peek().at)
 		}
 		if s.fleetState != nil {
 			res.FleetReports = s.fleetState.Registry().Snapshot().Counters["fleetobs.reports"]
@@ -824,7 +642,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	res.ReportBytes = s.reportBytes
 	res.ReportIntervals = s.reportIntervals
 	res.Samples = s.samples
-	res.Elapsed = s.now.Sub(time.Unix(0, 0))
+	res.Elapsed = s.clock.Now().Sub(time.Unix(0, 0))
 	res.P50, res.P99 = percentiles(s.samples)
 	return res, nil
 }
@@ -851,18 +669,6 @@ func (ss *synthSource) digest() telemetry.Digest {
 		Gauges:   map[string]int64{"agent.queue_depth": int64(ss.idx%5) + 1},
 		Sketches: map[string]*telemetry.Sketch{"agent.ack_ns": ss.lat.Clone()},
 	}
-}
-
-func componentProcess(reg *model.Registry, name string) (string, error) {
-	i, err := reg.Index(name)
-	if err != nil {
-		return "", err
-	}
-	c, err := reg.Component(i)
-	if err != nil {
-		return "", err
-	}
-	return c.Process, nil
 }
 
 func percentiles(samples []WaveSample) (p50, p99 time.Duration) {

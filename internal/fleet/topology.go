@@ -52,7 +52,6 @@ type Topology struct {
 	Roots []string
 
 	byName map[string]int    // coordinator name → index in Coords
-	top    map[string]string // agent → top-level coordinator
 	leaf   map[string]string // agent → leaf coordinator
 }
 
@@ -86,7 +85,6 @@ func NewTopology(agents []string, fanout int) (*Topology, error) {
 		Fanout: fanout,
 		Agents: sorted,
 		byName: make(map[string]int),
-		top:    make(map[string]string, len(sorted)),
 		leaf:   make(map[string]string, len(sorted)),
 	}
 
@@ -130,11 +128,7 @@ func NewTopology(agents []string, fanout int) (*Topology, error) {
 	}
 	t.Roots = children
 	for _, r := range t.Roots {
-		rc := &t.Coords[t.byName[r]]
-		rc.Parent = protocol.ManagerName
-		for _, a := range rc.Covers {
-			t.top[a] = r
-		}
+		t.Coords[t.byName[r]].Parent = protocol.ManagerName
 	}
 	return t, nil
 }
@@ -148,17 +142,30 @@ func (t *Topology) Coord(name string) (Coord, bool) {
 	return t.Coords[i], true
 }
 
-// TopOf returns the top-level coordinator covering the named agent — the
-// child link the root manager routes the agent's traffic onto.
-func (t *Topology) TopOf(agent string) (string, bool) {
-	c, ok := t.top[agent]
-	return c, ok
+// Uplink returns the parent end of the named node's only upward link: an
+// agent's leaf coordinator, a coordinator's parent.
+func (t *Topology) Uplink(name string) (string, bool) {
+	if c, ok := t.Coord(name); ok {
+		return c.Parent, true
+	}
+	leaf, ok := t.leaf[name]
+	return leaf, ok
 }
 
-// LeafOf returns the leaf coordinator the named agent connects to.
-func (t *Topology) LeafOf(agent string) (string, bool) {
-	c, ok := t.leaf[agent]
-	return c, ok
+// NextHopDown returns the link a message for the named agent takes out
+// of from (the root manager or a coordinator): the child of from whose
+// subtree covers the agent — the agent itself below its leaf coordinator.
+// It walks the agent's chain of parents, O(depth).
+func (t *Topology) NextHopDown(from, agent string) (string, bool) {
+	hop, up := agent, t.leaf[agent]
+	for up != from {
+		i, ok := t.byName[up]
+		if !ok {
+			return "", false
+		}
+		hop, up = up, t.Coords[i].Parent
+	}
+	return hop, true
 }
 
 // Depth returns the number of relay hops between the root manager and an

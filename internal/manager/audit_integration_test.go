@@ -95,3 +95,39 @@ func TestAuditUserIntervention(t *testing.T) {
 		t.Errorf("result conformance: %s", issue)
 	}
 }
+
+// TestTraceBoundedOverTenThousandAdaptations: a long-lived deployment's
+// transition traces stop growing — each is cut only where its owner
+// leaves running — and what is retained still conforms to Figs. 1-2 and
+// holds the latest adaptation whole.
+func TestTraceBoundedOverTenThousandAdaptations(t *testing.T) {
+	const maxTrace = 4096 // manager.maxTrace and agent.maxTrace
+	plan, src, tgt := paperPlanner(t)
+	s := newStack(t, plan, manager.Options{})
+	var perAdapt int
+	for i := 0; i < 10000; i++ {
+		res, err := s.mgr.Execute(src, tgt)
+		if err != nil || !res.Completed {
+			t.Fatalf("adaptation %d: %v %+v", i, err, res)
+		}
+		if i == 0 {
+			perAdapt = len(s.mgr.Trace())
+		}
+	}
+	auditStack(t, s)
+	tr := s.mgr.Trace()
+	if len(tr) < perAdapt || len(tr) >= maxTrace+perAdapt {
+		t.Errorf("manager retains %d transitions after 10,000 adaptations of %d each, want [%d, %d)",
+			len(tr), perAdapt, perAdapt, maxTrace+perAdapt)
+	}
+	if last := tr[len(tr)-1]; last.To != manager.StateRunning {
+		t.Errorf("manager trace ends in %v, want running", last.To)
+	}
+	for name, ag := range s.agents {
+		// An agent takes part in at most every step, a handful of
+		// transitions each.
+		if n := len(ag.Trace()); n == 0 || n >= maxTrace+perAdapt {
+			t.Errorf("agent %s retains %d transitions, want (0, %d)", name, n, maxTrace+perAdapt)
+		}
+	}
+}

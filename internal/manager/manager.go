@@ -375,7 +375,7 @@ func (m *Manager) journal(rec journal.Record, commit bool) error {
 			return &errJournal{err: err}
 		}
 	}
-	if m.tel.Enabled() {
+	if m.tel.Flight().Enabled() {
 		m.flightEvent(telemetry.FlightJournal, rec.String())
 	}
 	return nil
@@ -422,7 +422,8 @@ func (m *Manager) State() State {
 	return m.state
 }
 
-// Trace returns a copy of the recorded state transitions.
+// Trace returns a copy of the recorded state transitions: the latest
+// adaptation whole, and at most maxTrace transitions of the ones before.
 func (m *Manager) Trace() []Transition {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -431,9 +432,17 @@ func (m *Manager) Trace() []Transition {
 	return out
 }
 
+// maxTrace bounds the transition trace: leaving running with this many on
+// record starts it afresh. Cut only there, a trace still starts in running
+// (audit.ManagerTrace) and holds the latest adaptation whole.
+const maxTrace = 4096
+
 func (m *Manager) transition(to State, cause string) {
 	m.mu.Lock()
 	from := m.state
+	if from == StateRunning && len(m.trace) >= maxTrace {
+		m.trace = m.trace[:0]
+	}
 	m.trace = append(m.trace, Transition{From: from, To: to, Cause: cause, At: m.opts.Clock.Now()})
 	m.state = to
 	m.mu.Unlock()

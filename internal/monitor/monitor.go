@@ -174,6 +174,9 @@ func (m *Monitor) Tick() {
 		m.tel.Counter("monitor.fires").Inc()
 		m.tel.Counter("monitor.fires." + r.Name).Inc()
 		m.event(r, fmt.Sprintf("monitor: rule %s fired (value %.3f >= threshold %.3f)", r.Name, v, r.Threshold))
+		// A firing is an incident like a rollback: the always-on capture
+		// takes a row and fsyncs now, while the rule's gauge shows the breach.
+		m.tel.Flight().AutoDump("monitor fire: " + r.Name)
 		m.enqueue(r)
 	}
 }

@@ -47,6 +47,45 @@ func TestOscillationFiresOnce(t *testing.T) {
 	}
 }
 
+// TestFireFlushesCaptureAtTheBreach: a firing asks the always-on capture
+// for a row at once, and the row it would take shows the breach — the
+// rule's gauge and the fire counter are already set when the flush hook
+// runs. A periodic sampler alone can miss the peak window entirely.
+func TestFireFlushesCaptureAtTheBreach(t *testing.T) {
+	tel := telemetry.NewRegistry()
+	tel.AttachFlight(telemetry.NewFlightRecorder("monitor-test", 0))
+	type row struct {
+		reason         string
+		permille, fire int64
+	}
+	var rows []row
+	tel.SetCaptureFlush(func(reason string) {
+		rows = append(rows, row{reason, tel.Gauge("monitor.loss.permille").Value(), tel.Counter("monitor.fires").Value()})
+	})
+	values := []float64{0.05, 0.30, 0.02}
+	i := 0
+	m, err := New(tel, Rule{
+		Name:      "loss",
+		Source:    func() float64 { v := values[i]; i++; return v },
+		Threshold: 0.20,
+		Clear:     0.10,
+		Trigger:   func() error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for range values {
+		m.Tick()
+	}
+	if err := m.WaitIdle(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if want := []row{{"monitor fire: loss", 300, 1}}; len(rows) != 1 || rows[0] != want[0] {
+		t.Fatalf("capture flushes = %+v, want exactly %+v", rows, want)
+	}
+}
+
 // TestRearmAfterClearFiresAgain: once the signal genuinely recovers
 // (<= Clear), a new breach is a new incident and fires again.
 func TestRearmAfterClearFiresAgain(t *testing.T) {

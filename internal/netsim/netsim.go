@@ -22,29 +22,28 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 )
 
 // ErrClosed is returned when operating on a closed group or subscription.
 var ErrClosed = errors.New("netsim: closed")
 
-// Clock abstracts time for the simulator. The default SystemClock uses
-// real time; tests inject a virtual clock so delivery delays advance
-// logical time instead of blocking, making whole runs deterministic.
+// Clock abstracts time for the simulator: transport.Clock plus Sleep, which
+// delivery goroutines wait on. The default SystemClock uses real time;
+// tests inject a virtual clock so delivery delays advance logical time
+// instead of blocking, making whole runs deterministic.
 type Clock interface {
-	// Now returns the current time.
-	Now() time.Time
+	transport.Clock
 	// Sleep blocks until d has elapsed on this clock.
 	Sleep(d time.Duration)
 }
 
-type systemClock struct{}
+type systemClock struct{ transport.Clock }
 
-//safeadaptvet:allow determinism -- SystemClock is the wall-clock default behind the injectable Clock seam; deterministic runs inject a virtual clock instead
-func (systemClock) Now() time.Time        { return time.Now() }
 func (systemClock) Sleep(d time.Duration) { time.Sleep(d) }
 
 // SystemClock is the wall-clock Clock used when none is injected.
-var SystemClock Clock = systemClock{}
+var SystemClock Clock = systemClock{transport.SystemClock}
 
 // LinkProfile describes delivery characteristics of one subscriber link.
 type LinkProfile struct {

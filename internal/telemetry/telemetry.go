@@ -20,7 +20,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -197,24 +196,18 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// maxHistogramSamples bounds per-histogram memory. Once full, new
-// observations overwrite the oldest retained sample (count/sum/min/max
-// stay exact; quantiles become a recent-window estimate).
-const maxHistogramSamples = 2048
-
 // Histogram accumulates duration observations and summarizes them with
-// exact count/sum/min/max and sample-based quantiles. Nil-safe.
+// exact count/sum/min/max and quantiles read from a mergeable log-linear
+// sketch (see digest.go): every observation ever made counts, memory is
+// bounded by the bucket geometry, and a quantile never undershoots the
+// exact nearest-rank sample and overshoots it by at most 1/16th
+// (TestSketchQuantileErrorBound). Nil-safe.
 type Histogram struct {
-	mu      sync.Mutex
-	count   int64
-	sum     time.Duration
-	min     time.Duration
-	max     time.Duration
-	samples []time.Duration
-	next    int // overwrite cursor once samples is full
-	// sketch mirrors every observation into mergeable log-linear buckets
-	// (see digest.go), so the rollup plane can fold this histogram with
-	// its peers on other nodes. Unlike samples it is never windowed.
+	mu  sync.Mutex
+	min time.Duration
+	max time.Duration
+	// sketch holds the exact count and sum along with the buckets; the
+	// rollup plane folds it with its peers on other nodes.
 	sketch Sketch
 }
 
@@ -225,21 +218,13 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.count == 0 || d < h.min {
+	if h.sketch.n == 0 || d < h.min {
 		h.min = d
 	}
-	if h.count == 0 || d > h.max {
+	if h.sketch.n == 0 || d > h.max {
 		h.max = d
 	}
-	h.count++
-	h.sum += d
 	h.sketch.Observe(d)
-	if len(h.samples) < maxHistogramSamples {
-		h.samples = append(h.samples, d)
-		return
-	}
-	h.samples[h.next] = d
-	h.next = (h.next + 1) % maxHistogramSamples
 }
 
 // ObserveSince records the time elapsed since start.
@@ -252,26 +237,28 @@ func (h *Histogram) Count() int64 {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.count
+	return h.sketch.n
 }
 
-// Quantile returns the q-quantile (q in [0,1]) of the retained samples
-// using the nearest-rank method. Zero when empty or nil.
+// Quantile returns the q-quantile (q in [0,1]) of every observation made,
+// read from the sketch. Zero when empty or nil.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h == nil {
 		return 0
 	}
 	h.mu.Lock()
-	sorted := make([]time.Duration, len(h.samples))
-	copy(sorted, h.samples)
-	h.mu.Unlock()
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return quantileSorted(sorted, q)
+	defer h.mu.Unlock()
+	return h.quantileLocked(q)
+}
+
+// quantileLocked reads the sketch, whose answer is the upper edge of a
+// bucket, and caps it at the exact maximum the histogram also holds.
+func (h *Histogram) quantileLocked(q float64) time.Duration {
+	return min(h.sketch.Quantile(q), h.max)
 }
 
 // Sketch returns a mergeable copy of the histogram's log-linear bucket
-// sketch (see digest.go). Unlike Quantile it covers every observation
-// ever made, not just the retained sample window. Nil on a nil histogram.
+// sketch (see digest.go). Nil on a nil histogram.
 func (h *Histogram) Sketch() *Sketch {
 	if h == nil {
 		return nil
@@ -287,44 +274,20 @@ func (h *Histogram) Summary() HistogramSummary {
 		return HistogramSummary{}
 	}
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	s := HistogramSummary{
-		Count: h.count,
-		Sum:   h.sum,
+		Count: h.sketch.n,
+		Sum:   time.Duration(h.sketch.sum),
 		Min:   h.min,
 		Max:   h.max,
+		P50:   h.quantileLocked(0.50),
+		P95:   h.quantileLocked(0.95),
+		P99:   h.quantileLocked(0.99),
 	}
-	sorted := make([]time.Duration, len(h.samples))
-	copy(sorted, h.samples)
-	h.mu.Unlock()
 	if s.Count > 0 {
 		s.Mean = s.Sum / time.Duration(s.Count)
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	s.P50 = quantileSorted(sorted, 0.50)
-	s.P95 = quantileSorted(sorted, 0.95)
-	s.P99 = quantileSorted(sorted, 0.99)
 	return s
-}
-
-// quantileSorted computes the nearest-rank q-quantile (rank ceil(q*n),
-// 1-based, clamped to [1,n]) of an ascending-sorted sample slice. It is
-// the single quantile implementation in the package; Quantile and
-// Summary both route through it.
-func quantileSorted(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(q * float64(len(sorted)))
-	if float64(rank) < q*float64(len(sorted)) {
-		rank++
-	}
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }
 
 // HistogramSummary is a point-in-time digest of one histogram.
