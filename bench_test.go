@@ -15,7 +15,10 @@
 //	BenchmarkAdaptationStrategies     claim    — safe vs unsafe under live video
 //	BenchmarkAblationCompoundOnly     Table 2  — compound-only planning cost
 //	BenchmarkScalabilitySAG           Sec. 7   — eager vs A* vs decomposed growth
-//	Benchmark{Cipher,MetaSocket,VideoPipeline} — substrate throughput
+//
+// The data plane's own cost (cipher, MetaSocket, packetizer, player) is
+// the benchmark's: `sh bench/run.sh --workload stream_steady`, whose
+// traced runs time each of those layers.
 package safeadapt_test
 
 import (
@@ -32,19 +35,16 @@ import (
 	"repro/internal/action"
 	"repro/internal/agent"
 	"repro/internal/baseline"
-	"repro/internal/cipherkit"
 	"repro/internal/ftdc"
 	"repro/internal/invariant"
 	"repro/internal/journal"
 	"repro/internal/manager"
-	"repro/internal/metasocket"
 	"repro/internal/model"
 	"repro/internal/netsim"
 	"repro/internal/paper"
 	"repro/internal/planner"
 	"repro/internal/protocol"
 	"repro/internal/transport"
-	"repro/internal/video"
 )
 
 // BenchmarkTable1SafeConfigSet regenerates Table 1: enumerating the safe
@@ -659,81 +659,5 @@ func BenchmarkScalabilitySAG(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkCipher64 and BenchmarkCipher128 measure the encryption
-// substrate's throughput on 1 KiB payloads.
-func BenchmarkCipher64(b *testing.B) {
-	c := cipherkit.MustDefault64()
-	payload := make([]byte, 1024)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ct := c.Encrypt(payload)
-		if _, err := c.Decrypt(ct); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCipher128 is the 128-bit variant.
-func BenchmarkCipher128(b *testing.B) {
-	c := cipherkit.MustDefault128()
-	payload := make([]byte, 1024)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ct := c.Encrypt(payload)
-		if _, err := c.Decrypt(ct); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMetaSocketSend measures the send-side MetaSocket pipeline
-// (encode chain + marshal) on 1 KiB packets.
-func BenchmarkMetaSocketSend(b *testing.B) {
-	sock, err := metasocket.NewSendSocket(func([]byte) error { return nil },
-		metasocket.NewEncoder("E1", cipherkit.MustDefault64()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sock.Close()
-	payload := make([]byte, 1024)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sock.Send(metasocket.Packet{Frame: uint32(i), Count: 1, Payload: payload}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkVideoPipeline measures whole frames through the Fig. 3 system
-// (packetize, encode, multicast to two clients, decode, reassemble,
-// verify).
-func BenchmarkVideoPipeline(b *testing.B) {
-	sys, err := video.NewSystem(video.SystemOptions{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = sys.Close() }()
-	b.SetBytes(2048)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sys.Server.SendFrame(video.GenerateFrame(uint32(i), 2048)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := sys.Drain(10 * time.Second); err != nil {
-		b.Fatal(err)
-	}
-	stats := sys.Handheld.Player().Snapshot()
-	if stats.FramesCorrupted > 0 {
-		b.Fatalf("pipeline corrupted frames: %+v", stats)
 	}
 }

@@ -46,15 +46,15 @@ type aclFilter struct {
 
 func (f *aclFilter) Name() string { return f.name }
 
-func (f *aclFilter) Process(p metasocket.Packet) ([]metasocket.Packet, error) {
+func (f *aclFilter) Process(dst []metasocket.Packet, p metasocket.Packet) ([]metasocket.Packet, error) {
 	if f.strict {
 		if len(p.Payload) > 0 && p.Payload[0] == 'u' { // unprivileged
 			f.dropped.Add(1)
-			return nil, nil // rejected at the edge
+			return dst, nil // rejected at the edge
 		}
-		return []metasocket.Packet{p.PushEnc("auth", p.Payload)}, nil
+		return append(dst, p.PushEnc("auth", p.Payload)), nil
 	}
-	return []metasocket.Packet{p}, nil
+	return append(dst, p), nil
 }
 
 // logFilter records requests at the backend. The audit variant consumes
@@ -70,19 +70,19 @@ type logFilter struct {
 
 func (f *logFilter) Name() string { return f.name }
 
-func (f *logFilter) Process(p metasocket.Packet) ([]metasocket.Packet, error) {
+func (f *logFilter) Process(dst []metasocket.Packet, p metasocket.Packet) ([]metasocket.Packet, error) {
 	if p.TopEnc() == "auth" {
 		if !f.audit {
 			// A basic logger seeing an auth-tagged request is exactly
 			// the mismatch unsafe adaptation causes.
 			f.untagged.Add(1)
-			return []metasocket.Packet{p}, nil
+			return append(dst, p), nil
 		}
 		f.authed.Add(1)
-		return []metasocket.Packet{p.PopEnc(p.Payload)}, nil
+		return append(dst, p.PopEnc(p.Payload)), nil
 	}
 	f.plain.Add(1)
-	return []metasocket.Packet{p}, nil
+	return append(dst, p), nil
 }
 
 func run() error {

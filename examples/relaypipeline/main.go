@@ -32,8 +32,8 @@ type stamp struct {
 
 func (f *stamp) Name() string { return f.name }
 
-func (f *stamp) Process(p metasocket.Packet) ([]metasocket.Packet, error) {
-	return []metasocket.Packet{p.PushEnc(f.tag, p.Payload)}, nil
+func (f *stamp) Process(dst []metasocket.Packet, p metasocket.Packet) ([]metasocket.Packet, error) {
+	return append(dst, p.PushEnc(f.tag, p.Payload)), nil
 }
 
 // check strips a specific version tag and counts mismatches.
@@ -44,12 +44,12 @@ type check struct {
 
 func (f *check) Name() string { return f.name }
 
-func (f *check) Process(p metasocket.Packet) ([]metasocket.Packet, error) {
+func (f *check) Process(dst []metasocket.Packet, p metasocket.Packet) ([]metasocket.Packet, error) {
 	if p.TopEnc() != f.tag {
 		f.bad.Add(1)
-		return []metasocket.Packet{p}, nil
+		return append(dst, p), nil
 	}
-	return []metasocket.Packet{p.PopEnc(p.Payload)}, nil
+	return append(dst, p.PopEnc(p.Payload)), nil
 }
 
 func main() {

@@ -156,13 +156,13 @@ type parkedFilter struct {
 
 func (p *parkedFilter) Name() string { return "T1" }
 
-func (p *parkedFilter) Process(pkt metasocket.Packet) ([]metasocket.Packet, error) {
+func (p *parkedFilter) Process(dst []metasocket.Packet, pkt metasocket.Packet) ([]metasocket.Packet, error) {
 	if !p.once {
 		p.once = true
 		close(p.started)
 	}
 	<-p.release
-	return []metasocket.Packet{pkt}, nil
+	return append(dst, pkt), nil
 }
 
 func TestCompositeValidation(t *testing.T) {

@@ -112,11 +112,22 @@ func checkHotBody(pass *Pass, fd *ast.FuncDecl, via string, follow func(*types.F
 		pass.Reportf(pos, "%s on the %s hot path: annotated //safeadaptvet:hotpath functions must be allocation-free (per-packet GC tax)", what, via)
 	}
 
+	// elided holds the string(b) conversions that index a map: the
+	// compiler looks the key up in place, without the copy. Inspect visits
+	// the index expression before the conversion inside it.
+	elided := map[*ast.CallExpr]bool{}
+
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			report(n.Pos(), "closure literal (allocates)")
 			return false
+		case *ast.IndexExpr:
+			if _, ok := pass.typeOf(n.X).Underlying().(*types.Map); ok {
+				if key, ok := ast.Unparen(n.Index).(*ast.CallExpr); ok {
+					elided[key] = true
+				}
+			}
 		case *ast.CompositeLit:
 			tv := pass.typeOf(n)
 			if tv == nil {
@@ -146,7 +157,7 @@ func checkHotBody(pass *Pass, fd *ast.FuncDecl, via string, follow func(*types.F
 				report(n.Pos(), "string concatenation (allocates)")
 			}
 		case *ast.CallExpr:
-			return checkHotCall(pass, n, report, follow)
+			return checkHotCall(pass, n, elided[n], report, follow)
 		}
 		return true
 	})
@@ -192,10 +203,11 @@ func checkHotBody(pass *Pass, fd *ast.FuncDecl, via string, follow func(*types.F
 }
 
 // checkHotCall classifies one call on the hot path: allocating builtins
-// and conversions are flagged; static package-local callees are handed to
-// follow; dynamic calls are left alone. Returns whether Inspect should
-// descend into the call's children.
-func checkHotCall(pass *Pass, call *ast.CallExpr, report func(token.Pos, string), follow func(*types.Func)) bool {
+// and conversions are flagged (except a []byte→string conversion that is
+// a map index's key, which mapKey says this one is); static package-local
+// callees are handed to follow; dynamic calls are left alone. Returns
+// whether Inspect should descend into the call's children.
+func checkHotCall(pass *Pass, call *ast.CallExpr, mapKey bool, report func(token.Pos, string), follow func(*types.Func)) bool {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		switch fun.Name {
@@ -218,17 +230,11 @@ func checkHotCall(pass *Pass, call *ast.CallExpr, report func(token.Pos, string)
 	}
 
 	// Conversions: string([]byte) and []byte(string) copy. The one
-	// compiler-elided form — indexing a map with a string(b) key — is
-	// exempted by the caller shape, which we detect via the parent being
-	// an IndexExpr; go/ast gives no parent links, so the exemption is
-	// handled by checking the conversion's argument type only when the
-	// conversion is NOT immediately a map index. Simplification: flag all,
-	// and let the rare elided form carry an allow. (The repo's hot path
-	// has none.)
+	// compiler-elided form is indexing a map with a string(b) key.
 	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		to := tv.Type
 		from := pass.typeOf(call.Args[0])
-		if isStringType(to) && isByteSlice(from) {
+		if isStringType(to) && isByteSlice(from) && !mapKey {
 			report(call.Pos(), "[]byte→string conversion (copies)")
 		}
 		if isByteSlice(to) && isStringType(from) {
@@ -278,6 +284,12 @@ func checkHotCall(pass *Pass, call *ast.CallExpr, report func(token.Pos, string)
 // the untyped nil.
 func boxes(to, from types.Type, expr ast.Expr) bool {
 	if to == nil || from == nil {
+		return false
+	}
+	// A type parameter's underlying type is its constraint, an interface,
+	// but a generic function is instantiated over the concrete type:
+	// passing a []byte to slices.Grow[S ~[]E] boxes nothing.
+	if _, ok := types.Unalias(to).(*types.TypeParam); ok {
 		return false
 	}
 	if _, ok := to.Underlying().(*types.Interface); !ok {

@@ -3,7 +3,10 @@
 // callees — must be allocation-free.
 package fixture
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 type point struct{ x, y int }
 
@@ -45,6 +48,24 @@ func concat(a, b string) string {
 //safeadaptvet:hotpath
 func convert(b []byte) string {
 	return string(b) // want "conversion \\(copies\\)"
+}
+
+// A string(b) conversion that is a map index's key is looked up in
+// place, not copied: silent. Anywhere else in the same expression it
+// still copies.
+//
+//safeadaptvet:hotpath
+func mapKey(m map[string]int, b []byte) int {
+	return m[string(b)] + len(string(b)) // want "conversion \\(copies\\)"
+}
+
+// A generic callee is instantiated over the concrete argument type; its
+// type parameter's constraint is an interface but nothing is boxed:
+// silent.
+//
+//safeadaptvet:hotpath
+func generic(b []byte, n int) []byte {
+	return slices.Grow(b, n)
 }
 
 //safeadaptvet:hotpath

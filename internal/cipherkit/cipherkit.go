@@ -13,7 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"slices"
 )
 
 // BlockSize is the Feistel block size in bytes.
@@ -25,17 +25,25 @@ const (
 	KeySize128 = 16 // "DES 128-bit"
 )
 
+// maxRounds bounds the key schedule: the 128-bit cipher's 20 rounds.
+const maxRounds = 20
+
 // ErrIntegrity is returned by Decrypt when the embedded checksum does not
 // match — the ciphertext was produced by a different cipher or key, or was
 // tampered with.
 var ErrIntegrity = errors.New("cipherkit: integrity check failed")
+
+// errLength is returned for a ciphertext that is not a whole, positive
+// number of blocks. It carries no length so that refusing a hostile
+// datagram costs the data plane nothing.
+var errLength = fmt.Errorf("cipherkit: ciphertext length is not a positive multiple of %d", BlockSize)
 
 // Cipher is a Feistel block cipher with a fixed round-key schedule.
 // Ciphers are immutable and safe for concurrent use.
 type Cipher struct {
 	name     string
 	rounds   int
-	roundKey []uint32
+	roundKey [maxRounds]uint32
 }
 
 // New64 builds the 64-bit-key cipher ("DES 64-bit" in the paper).
@@ -51,11 +59,11 @@ func New128(key []byte) (*Cipher, error) {
 	if len(key) != KeySize128 {
 		return nil, fmt.Errorf("cipherkit: 128-bit cipher requires %d-byte key, got %d", KeySize128, len(key))
 	}
-	return newCipher("des128", key, 20), nil
+	return newCipher("des128", key, maxRounds), nil
 }
 
 func newCipher(name string, key []byte, rounds int) *Cipher {
-	c := &Cipher{name: name, rounds: rounds, roundKey: make([]uint32, rounds)}
+	c := &Cipher{name: name, rounds: rounds}
 	// Key schedule: a xorshift generator seeded from the key material
 	// expands into one 32-bit subkey per round.
 	var seed uint64 = 0x9e3779b97f4a7c15
@@ -91,88 +99,143 @@ func feistelF(r, k uint32) uint32 {
 	return x
 }
 
-func (c *Cipher) encryptBlock(dst, src []byte) {
-	l := binary.BigEndian.Uint32(src[0:4])
-	r := binary.BigEndian.Uint32(src[4:8])
-	for i := 0; i < c.rounds; i++ {
-		l, r = r, l^feistelF(r, c.roundKey[i])
+// A block is handled as one big-endian uint64: left half in the high
+// word, right half in the low one.
+
+func (c *Cipher) encryptBlock(b uint64) uint64 {
+	l, r := uint32(b>>32), uint32(b)
+	for _, k := range c.roundKey[:c.rounds] {
+		l, r = r, l^feistelF(r, k)
 	}
 	// Final swap undone, per standard Feistel construction.
-	binary.BigEndian.PutUint32(dst[0:4], r)
-	binary.BigEndian.PutUint32(dst[4:8], l)
+	return uint64(r)<<32 | uint64(l)
 }
 
-func (c *Cipher) decryptBlock(dst, src []byte) {
-	r := binary.BigEndian.Uint32(src[0:4])
-	l := binary.BigEndian.Uint32(src[4:8])
-	for i := c.rounds - 1; i >= 0; i-- {
-		l, r = r^feistelF(l, c.roundKey[i]), l
+func (c *Cipher) decryptBlock(b uint64) uint64 {
+	r, l := uint32(b>>32), uint32(b)
+	keys := c.roundKey[:c.rounds]
+	for i := len(keys) - 1; i >= 0; i-- {
+		l, r = r^feistelF(l, keys[i]), l
 	}
-	binary.BigEndian.PutUint32(dst[0:4], l)
-	binary.BigEndian.PutUint32(dst[4:8], r)
+	return uint64(l)<<32 | uint64(r)
 }
 
-// Encrypt encrypts the plaintext. The output embeds the plaintext length
-// and an FNV-1a checksum so Decrypt detects decoding with the wrong
-// cipher. Layout before block encryption:
+// decrypt4 is decryptBlock over four independent blocks, their rounds
+// interleaved so the four dependency chains overlap in the pipeline.
+func (c *Cipher) decrypt4(b0, b1, b2, b3 uint64) (uint64, uint64, uint64, uint64) {
+	r0, l0 := uint32(b0>>32), uint32(b0)
+	r1, l1 := uint32(b1>>32), uint32(b1)
+	r2, l2 := uint32(b2>>32), uint32(b2)
+	r3, l3 := uint32(b3>>32), uint32(b3)
+	keys := c.roundKey[:c.rounds]
+	for i := len(keys) - 1; i >= 0; i-- {
+		k := keys[i]
+		l0, r0 = r0^feistelF(l0, k), l0
+		l1, r1 = r1^feistelF(l1, k), l1
+		l2, r2 = r2^feistelF(l2, k), l2
+		l3, r3 = r3^feistelF(l3, k), l3
+	}
+	return uint64(l0)<<32 | uint64(r0), uint64(l1)<<32 | uint64(r1),
+		uint64(l2)<<32 | uint64(r2), uint64(l3)<<32 | uint64(r3)
+}
+
+// fnv32a is FNV-1a over b (hash/fnv's New32a without the interface).
+func fnv32a(b []byte) uint32 {
+	h := uint32(2166136261)
+	for _, x := range b {
+		h ^= uint32(x)
+		h *= 16777619
+	}
+	return h
+}
+
+// AppendEncrypt encrypts the plaintext and appends the ciphertext to dst,
+// which must not overlap it; with enough capacity in dst it allocates
+// nothing. The output embeds the plaintext length and an FNV-1a checksum
+// so AppendDecrypt detects decoding with the wrong cipher. Layout before
+// block encryption:
 //
 //	[4-byte length][4-byte fnv32a(plaintext)][plaintext][zero padding]
-func (c *Cipher) Encrypt(plaintext []byte) []byte {
-	h := fnv.New32a()
-	_, _ = h.Write(plaintext)
-	sum := h.Sum32()
+//
+//safeadaptvet:hotpath
+func (c *Cipher) AppendEncrypt(dst, plaintext []byte) []byte {
+	padded := (8 + len(plaintext) + BlockSize - 1) / BlockSize * BlockSize
+	dst = slices.Grow(dst, padded)
+	out := dst[len(dst) : len(dst)+padded]
+	dst = dst[:len(dst)+padded]
 
-	inner := 8 + len(plaintext)
-	padded := (inner + BlockSize - 1) / BlockSize * BlockSize
-	buf := make([]byte, padded)
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(plaintext)))
-	binary.BigEndian.PutUint32(buf[4:8], sum)
-	copy(buf[8:], plaintext)
-
-	out := make([]byte, padded)
 	// CBC-style chaining with a fixed zero IV keeps identical plaintext
-	// blocks from producing identical ciphertext blocks.
-	var prev [BlockSize]byte
-	for off := 0; off < padded; off += BlockSize {
-		var x [BlockSize]byte
-		for i := 0; i < BlockSize; i++ {
-			x[i] = buf[off+i] ^ prev[i]
-		}
-		c.encryptBlock(out[off:off+BlockSize], x[:])
-		copy(prev[:], out[off:off+BlockSize])
+	// blocks from producing identical ciphertext blocks. Each block needs
+	// its predecessor's ciphertext, so encryption is serial.
+	prev := c.encryptBlock(uint64(len(plaintext))<<32 | uint64(fnv32a(plaintext)))
+	binary.BigEndian.PutUint64(out, prev)
+	out = out[BlockSize:]
+	for len(plaintext) >= BlockSize {
+		prev = c.encryptBlock(binary.BigEndian.Uint64(plaintext) ^ prev)
+		binary.BigEndian.PutUint64(out, prev)
+		plaintext, out = plaintext[BlockSize:], out[BlockSize:]
 	}
-	return out
+	if len(plaintext) > 0 {
+		var last [BlockSize]byte
+		copy(last[:], plaintext)
+		binary.BigEndian.PutUint64(out, c.encryptBlock(binary.BigEndian.Uint64(last[:])^prev))
+	}
+	return dst
 }
 
-// Decrypt reverses Encrypt, verifying the embedded length and checksum.
-func (c *Cipher) Decrypt(ciphertext []byte) ([]byte, error) {
+// AppendDecrypt reverses AppendEncrypt, verifying the embedded length and
+// checksum, and appends the plaintext to dst, which must not overlap the
+// ciphertext; with capacity for len(ciphertext)-8 more bytes in dst it
+// allocates nothing. On error it returns dst unchanged.
+//
+//safeadaptvet:hotpath
+func (c *Cipher) AppendDecrypt(dst, ciphertext []byte) ([]byte, error) {
 	if len(ciphertext) == 0 || len(ciphertext)%BlockSize != 0 {
-		return nil, fmt.Errorf("cipherkit: ciphertext length %d is not a positive multiple of %d", len(ciphertext), BlockSize)
+		return dst, errLength
 	}
-	buf := make([]byte, len(ciphertext))
-	var prev [BlockSize]byte
-	for off := 0; off < len(ciphertext); off += BlockSize {
-		var x [BlockSize]byte
-		c.decryptBlock(x[:], ciphertext[off:off+BlockSize])
-		for i := 0; i < BlockSize; i++ {
-			buf[off+i] = x[i] ^ prev[i]
-		}
-		copy(prev[:], ciphertext[off:off+BlockSize])
+	prev := binary.BigEndian.Uint64(ciphertext)
+	header := c.decryptBlock(prev)
+	n, sum := header>>32, uint32(header)
+	ciphertext = ciphertext[BlockSize:]
+	if n > uint64(len(ciphertext)) {
+		return dst, ErrIntegrity
 	}
-	n := binary.BigEndian.Uint32(buf[0:4])
-	if int(n) > len(buf)-8 {
-		return nil, ErrIntegrity
+	dst = slices.Grow(dst, len(ciphertext))
+	body := dst[len(dst) : len(dst)+len(ciphertext)]
+
+	// Decryption has no chain dependency — block i needs only ciphertext
+	// blocks i and i-1 — so four blocks run per iteration.
+	out := body
+	for len(ciphertext) >= 4*BlockSize {
+		c0 := binary.BigEndian.Uint64(ciphertext)
+		c1 := binary.BigEndian.Uint64(ciphertext[8:])
+		c2 := binary.BigEndian.Uint64(ciphertext[16:])
+		c3 := binary.BigEndian.Uint64(ciphertext[24:])
+		p0, p1, p2, p3 := c.decrypt4(c0, c1, c2, c3)
+		binary.BigEndian.PutUint64(out, p0^prev)
+		binary.BigEndian.PutUint64(out[8:], p1^c0)
+		binary.BigEndian.PutUint64(out[16:], p2^c1)
+		binary.BigEndian.PutUint64(out[24:], p3^c2)
+		prev = c3
+		ciphertext, out = ciphertext[4*BlockSize:], out[4*BlockSize:]
 	}
-	plaintext := buf[8 : 8+n]
-	h := fnv.New32a()
-	_, _ = h.Write(plaintext)
-	if h.Sum32() != binary.BigEndian.Uint32(buf[4:8]) {
-		return nil, ErrIntegrity
+	for len(ciphertext) >= BlockSize {
+		cur := binary.BigEndian.Uint64(ciphertext)
+		binary.BigEndian.PutUint64(out, c.decryptBlock(cur)^prev)
+		prev = cur
+		ciphertext, out = ciphertext[BlockSize:], out[BlockSize:]
 	}
-	out := make([]byte, n)
-	copy(out, plaintext)
-	return out, nil
+	if fnv32a(body[:n]) != sum {
+		return dst, ErrIntegrity
+	}
+	return dst[:len(dst)+int(n)], nil
 }
+
+// Encrypt is AppendEncrypt into a fresh buffer.
+func (c *Cipher) Encrypt(plaintext []byte) []byte { return c.AppendEncrypt(nil, plaintext) }
+
+// Decrypt is AppendDecrypt into a fresh buffer.
+func (c *Cipher) Decrypt(ciphertext []byte) ([]byte, error) { return c.AppendDecrypt(nil, ciphertext) }
 
 // DefaultKey64 and DefaultKey128 are the fixed demo keys used by the case
 // study binaries and tests. Real deployments would provision their own.

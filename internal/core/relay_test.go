@@ -27,8 +27,8 @@ type tagFilter struct {
 
 func (f *tagFilter) Name() string { return f.name }
 
-func (f *tagFilter) Process(p metasocket.Packet) ([]metasocket.Packet, error) {
-	return []metasocket.Packet{p.PushEnc(f.tag, p.Payload)}, nil
+func (f *tagFilter) Process(dst []metasocket.Packet, p metasocket.Packet) ([]metasocket.Packet, error) {
+	return append(dst, p.PushEnc(f.tag, p.Payload)), nil
 }
 
 // untagFilter strips a specific version tag; anything else is an error —
@@ -41,12 +41,12 @@ type untagFilter struct {
 
 func (f *untagFilter) Name() string { return f.name }
 
-func (f *untagFilter) Process(p metasocket.Packet) ([]metasocket.Packet, error) {
+func (f *untagFilter) Process(dst []metasocket.Packet, p metasocket.Packet) ([]metasocket.Packet, error) {
 	if p.TopEnc() != f.tag {
 		f.bad.Add(1)
-		return []metasocket.Packet{p}, nil // pass through, counted as corruption
+		return append(dst, p), nil // pass through, counted as corruption
 	}
-	return []metasocket.Packet{p.PopEnc(p.Payload)}, nil
+	return append(dst, p.PopEnc(p.Payload)), nil
 }
 
 // TestRelayCompositeEndToEnd runs a src → relay → sink pipeline where the

@@ -45,8 +45,10 @@ func BenchmarkEncoderFilter(b *testing.B) {
 	p := Packet{Payload: make([]byte, 256)}
 	b.SetBytes(256)
 	b.ReportAllocs()
+	var out []Packet
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Process(p); err != nil {
+		var err error
+		if out, err = f.Process(out[:0], p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,8 +60,10 @@ func BenchmarkDecoderBypass(b *testing.B) {
 	f := NewDecoder("D1", cipherkit.MustDefault64())
 	p := Packet{Enc: []string{"des128"}, Payload: make([]byte, 256)}
 	b.ReportAllocs()
+	var out []Packet
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Process(p); err != nil {
+		var err error
+		if out, err = f.Process(out[:0], p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -74,8 +78,10 @@ func BenchmarkFECEncode(b *testing.B) {
 	p := benchPacket(256)
 	b.SetBytes(256)
 	b.ReportAllocs()
+	var out []Packet
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Process(p); err != nil {
+		var err error
+		if out, err = f.Process(out[:0], p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -45,21 +45,26 @@ func NewFECEncoder(name string, k int) (*FECEncoderFilter, error) {
 // Name implements Filter.
 func (f *FECEncoderFilter) Name() string { return f.name }
 
-// Process implements Filter.
-func (f *FECEncoderFilter) Process(p Packet) ([]Packet, error) {
+// fecStack is the stack every parity packet carries.
+var fecStack = []string{"fec"}
+
+// Process implements Filter. What the filter keeps of a member past the
+// call is its own marshalled copy.
+func (f *FECEncoderFilter) Process(dst []Packet, p Packet) ([]Packet, error) {
 	f.group = append(f.group, p.Marshal())
+	dst = append(dst, p)
 	if len(f.group) < f.k {
-		return []Packet{p}, nil
+		return dst, nil
 	}
 	parity := Packet{
 		Frame:   p.Frame,
 		Index:   0,
 		Count:   uint16(f.k),
-		Enc:     []string{"fec"},
+		Enc:     fecStack,
 		Payload: xorFrames(f.group),
 	}
 	f.group = f.group[:0]
-	return []Packet{p, parity}, nil
+	return append(dst, parity), nil
 }
 
 // xorFrames XORs the length-prefixed, zero-padded wire forms.
@@ -117,25 +122,27 @@ func (f *FECDecoderFilter) Name() string { return f.name }
 // chain: it must observe the same wire forms the encoder XORed.
 func (f *FECDecoderFilter) PreferFront() bool { return true }
 
-// Process implements Filter.
-func (f *FECDecoderFilter) Process(p Packet) ([]Packet, error) {
+// Process implements Filter. What the filter keeps of a member past the
+// call is its own marshalled copy, and a recovered packet is unmarshalled
+// into storage of its own.
+func (f *FECDecoderFilter) Process(dst []Packet, p Packet) ([]Packet, error) {
 	if p.TopEnc() != "fec" {
 		f.group = append(f.group, p.Marshal())
 		if len(f.group) > f.k {
 			// The group's parity must have been lost; forget the oldest.
 			f.group = f.group[1:]
 		}
-		return []Packet{p}, nil
+		return append(dst, p), nil
 	}
 
 	defer func() { f.group = f.group[:0] }()
 	missing := int(p.Count) - len(f.group)
 	if missing <= 0 {
-		return nil, nil // complete group; parity not needed
+		return dst, nil // complete group; parity not needed
 	}
 	if missing > 1 {
 		f.Unrecoverable++
-		return nil, nil
+		return dst, nil
 	}
 
 	// Recover: parity ⊕ frames(received) = frame(missing).
@@ -155,18 +162,18 @@ func (f *FECDecoderFilter) Process(p Packet) ([]Packet, error) {
 	}
 	if len(buf) < 4 {
 		f.Unrecoverable++
-		return nil, nil
+		return dst, nil
 	}
 	n := int(binary.BigEndian.Uint32(buf[:4]))
 	if n <= 0 || n > len(buf)-4 {
 		f.Unrecoverable++
-		return nil, nil
+		return dst, nil
 	}
 	rec, err := Unmarshal(buf[4 : 4+n])
 	if err != nil {
 		f.Unrecoverable++
-		return nil, nil
+		return dst, nil
 	}
 	f.Recovered++
-	return []Packet{rec}, nil
+	return append(dst, rec), nil
 }

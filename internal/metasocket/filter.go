@@ -20,8 +20,16 @@ type Filter interface {
 	// recomposition operations address filters by name. By convention it
 	// is the adaptive component name ("E1", "D3", ...).
 	Name() string
-	// Process transforms one packet.
-	Process(p Packet) ([]Packet, error)
+	// Process transforms one packet, appending what it emits to dst (the
+	// chain's scratch) and returning the extended slice.
+	//
+	// A payload is borrowed for the duration of the call it is passed to;
+	// whoever keeps bytes past the call copies them. So p.Payload is the
+	// filter's to read until it returns and no longer, and a payload it
+	// emits may sit in a buffer the filter instance owns, which stays
+	// valid until that instance's next Process. Enc stacks are immutable
+	// and shared: replace them (PushEnc, PopEnc), never write through.
+	Process(dst []Packet, p Packet) ([]Packet, error)
 }
 
 // EncoderFilter encrypts packet payloads with a cipher, implementing the
@@ -29,11 +37,16 @@ type Filter interface {
 type EncoderFilter struct {
 	name   string
 	cipher *cipherkit.Cipher
+	// plain is the stack a plain input leaves with: the cipher's tag
+	// alone, built once and shared by every packet.
+	plain []string
+	// buf holds the ciphertext of the packet last processed.
+	buf []byte
 }
 
 // NewEncoder builds an encoder filter with the given component name.
 func NewEncoder(name string, c *cipherkit.Cipher) *EncoderFilter {
-	return &EncoderFilter{name: name, cipher: c}
+	return &EncoderFilter{name: name, cipher: c, plain: []string{c.Name()}}
 }
 
 // Name implements Filter.
@@ -41,9 +54,12 @@ func (f *EncoderFilter) Name() string { return f.name }
 
 // Process implements Filter: it encrypts the payload and pushes the
 // cipher's tag.
-func (f *EncoderFilter) Process(p Packet) ([]Packet, error) {
-	ct := f.cipher.Encrypt(p.Payload)
-	return []Packet{p.PushEnc(f.cipher.Name(), ct)}, nil
+//
+//safeadaptvet:hotpath
+func (f *EncoderFilter) Process(dst []Packet, p Packet) ([]Packet, error) {
+	f.buf = f.cipher.AppendEncrypt(f.buf[:0], p.Payload)
+	//safeadaptvet:allow hotpath -- dst is the chain's scratch, kept across packets: it grows until it holds the widest fan-out the chain has produced
+	return append(dst, p.pushShared(f.plain, f.buf)), nil
 }
 
 // DecoderFilter decrypts packet payloads, implementing the paper's DES
@@ -54,6 +70,8 @@ func (f *EncoderFilter) Process(p Packet) ([]Packet, error) {
 type DecoderFilter struct {
 	name    string
 	ciphers map[string]*cipherkit.Cipher // by tag
+	// buf holds the plaintext of the packet last decoded.
+	buf []byte
 }
 
 // NewDecoder builds a decoder accepting the given ciphers. A single
@@ -78,23 +96,33 @@ func (f *DecoderFilter) Accepts(tag string) bool {
 
 // Process implements Filter: packets whose outermost encoding matches one
 // of the decoder's ciphers are decrypted; others bypass unchanged.
-func (f *DecoderFilter) Process(p Packet) ([]Packet, error) {
-	c, ok := f.ciphers[p.TopEnc()]
-	if !ok {
-		return []Packet{p}, nil // bypass
+//
+//safeadaptvet:hotpath
+func (f *DecoderFilter) Process(dst []Packet, p Packet) ([]Packet, error) {
+	if c, ok := f.ciphers[p.TopEnc()]; ok {
+		var err error
+		if f.buf, err = c.AppendDecrypt(f.buf[:0], p.Payload); err != nil {
+			//safeadaptvet:allow hotpath -- error path: the packet failed its integrity check, the boxing happens after the hot path failed
+			return dst, fmt.Errorf("decoder %s: %w", f.name, err)
+		}
+		p = p.PopEnc(f.buf)
 	}
-	pt, err := c.Decrypt(p.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("decoder %s: %w", f.name, err)
-	}
-	return []Packet{p.PopEnc(pt)}, nil
+	//safeadaptvet:allow hotpath -- dst is the chain's scratch, kept across packets: it grows until it holds the widest fan-out the chain has produced
+	return append(dst, p), nil
 }
+
+// flateStack is the stack a plain payload leaves the compressor with.
+var flateStack = []string{"flate"}
 
 // CompressFilter deflate-compresses payloads — one of the additional
 // filter kinds the paper lists ("filters can perform encryption,
 // decryption, forward error correction, compression, and so forth").
 type CompressFilter struct {
 	name string
+	// buf holds the compressed payload of the packet last processed; w
+	// writes into it and is reset, not rebuilt, per packet.
+	buf bytes.Buffer
+	w   *flate.Writer
 }
 
 // NewCompress builds a compression filter.
@@ -104,25 +132,35 @@ func NewCompress(name string) *CompressFilter { return &CompressFilter{name: nam
 func (f *CompressFilter) Name() string { return f.name }
 
 // Process implements Filter.
-func (f *CompressFilter) Process(p Packet) ([]Packet, error) {
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, fmt.Errorf("compress %s: %w", f.name, err)
+func (f *CompressFilter) Process(dst []Packet, p Packet) ([]Packet, error) {
+	f.buf.Reset()
+	if f.w == nil {
+		w, err := flate.NewWriter(&f.buf, flate.BestSpeed)
+		if err != nil {
+			return dst, fmt.Errorf("compress %s: %w", f.name, err)
+		}
+		f.w = w
+	} else {
+		f.w.Reset(&f.buf)
 	}
-	if _, err := w.Write(p.Payload); err != nil {
-		return nil, fmt.Errorf("compress %s: %w", f.name, err)
+	if _, err := f.w.Write(p.Payload); err != nil {
+		return dst, fmt.Errorf("compress %s: %w", f.name, err)
 	}
-	if err := w.Close(); err != nil {
-		return nil, fmt.Errorf("compress %s: %w", f.name, err)
+	if err := f.w.Close(); err != nil {
+		return dst, fmt.Errorf("compress %s: %w", f.name, err)
 	}
-	return []Packet{p.PushEnc("flate", buf.Bytes())}, nil
+	return append(dst, p.pushShared(flateStack, f.buf.Bytes())), nil
 }
 
 // DecompressFilter reverses CompressFilter, with bypass for uncompressed
 // packets.
 type DecompressFilter struct {
 	name string
+	// buf holds the inflated payload of the packet last processed; r
+	// reads src and is reset, not rebuilt, per packet.
+	buf bytes.Buffer
+	src bytes.Reader
+	r   io.ReadCloser
 }
 
 // NewDecompress builds a decompression filter.
@@ -132,19 +170,24 @@ func NewDecompress(name string) *DecompressFilter { return &DecompressFilter{nam
 func (f *DecompressFilter) Name() string { return f.name }
 
 // Process implements Filter.
-func (f *DecompressFilter) Process(p Packet) ([]Packet, error) {
+func (f *DecompressFilter) Process(dst []Packet, p Packet) ([]Packet, error) {
 	if p.TopEnc() != "flate" {
-		return []Packet{p}, nil // bypass
+		return append(dst, p), nil // bypass
 	}
-	r := flate.NewReader(bytes.NewReader(p.Payload))
-	out, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("decompress %s: %w", f.name, err)
+	f.src.Reset(p.Payload)
+	if f.r == nil {
+		f.r = flate.NewReader(&f.src)
+	} else if err := f.r.(flate.Resetter).Reset(&f.src, nil); err != nil {
+		return dst, fmt.Errorf("decompress %s: %w", f.name, err)
 	}
-	if err := r.Close(); err != nil {
-		return nil, fmt.Errorf("decompress %s: %w", f.name, err)
+	f.buf.Reset()
+	if _, err := f.buf.ReadFrom(f.r); err != nil {
+		return dst, fmt.Errorf("decompress %s: %w", f.name, err)
 	}
-	return []Packet{p.PopEnc(out)}, nil
+	if err := f.r.Close(); err != nil {
+		return dst, fmt.Errorf("decompress %s: %w", f.name, err)
+	}
+	return append(dst, p.PopEnc(f.buf.Bytes())), nil
 }
 
 // PassthroughFilter forwards packets unchanged; useful as a placeholder in
@@ -160,6 +203,6 @@ func NewPassthrough(name string) *PassthroughFilter { return &PassthroughFilter{
 func (f *PassthroughFilter) Name() string { return f.name }
 
 // Process implements Filter.
-func (f *PassthroughFilter) Process(p Packet) ([]Packet, error) {
-	return []Packet{p}, nil
+func (f *PassthroughFilter) Process(dst []Packet, p Packet) ([]Packet, error) {
+	return append(dst, p), nil
 }

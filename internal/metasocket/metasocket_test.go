@@ -91,7 +91,7 @@ func TestEncoderDecoderPair(t *testing.T) {
 	dec := NewDecoder("D1", c)
 
 	in := Packet{Frame: 1, Payload: []byte("plain video data")}
-	encoded, err := enc.Process(in)
+	encoded, err := enc.Process(nil, in)
 	if err != nil || len(encoded) != 1 {
 		t.Fatalf("encode: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestEncoderDecoderPair(t *testing.T) {
 	if bytes.Equal(encoded[0].Payload, in.Payload) {
 		t.Error("encoder did not transform payload")
 	}
-	decoded, err := dec.Process(encoded[0])
+	decoded, err := dec.Process(nil, encoded[0])
 	if err != nil || len(decoded) != 1 {
 		t.Fatalf("decode: %v", err)
 	}
@@ -117,13 +117,13 @@ func TestDecoderBypass(t *testing.T) {
 	dec64 := NewDecoder("D1", c64)
 
 	in := Packet{Payload: []byte("data")}
-	encoded, err := enc128.Process(in)
+	encoded, err := enc128.Process(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// D1 must bypass a des128 packet untouched (the paper's bypass
 	// functionality).
-	out, err := dec64.Process(encoded[0])
+	out, err := dec64.Process(nil, encoded[0])
 	if err != nil || len(out) != 1 {
 		t.Fatalf("bypass: %v", err)
 	}
@@ -139,11 +139,11 @@ func TestCompatibleDecoderD2(t *testing.T) {
 	in := Packet{Payload: []byte("both ways")}
 
 	for _, enc := range []*EncoderFilter{NewEncoder("E1", c64), NewEncoder("E2", c128)} {
-		encoded, err := enc.Process(in)
+		encoded, err := enc.Process(nil, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := d2.Process(encoded[0])
+		out, err := d2.Process(nil, encoded[0])
 		if err != nil || len(out) != 1 || !bytes.Equal(out[0].Payload, in.Payload) {
 			t.Errorf("D2 failed to decode %s: %v", enc.Name(), err)
 		}
@@ -157,19 +157,19 @@ func TestCompressRoundTripAndBypass(t *testing.T) {
 	comp := NewCompress("C1")
 	decomp := NewDecompress("X1")
 	in := Packet{Payload: bytes.Repeat([]byte("video "), 100)}
-	c, err := comp.Process(in)
+	c, err := comp.Process(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(c[0].Payload) >= len(in.Payload) {
 		t.Error("compression did not shrink repetitive payload")
 	}
-	out, err := decomp.Process(c[0])
+	out, err := decomp.Process(nil, c[0])
 	if err != nil || !bytes.Equal(out[0].Payload, in.Payload) {
 		t.Errorf("decompress: %v", err)
 	}
 	// Bypass of uncompressed packets.
-	by, err := decomp.Process(in)
+	by, err := decomp.Process(nil, in)
 	if err != nil || !bytes.Equal(by[0].Payload, in.Payload) {
 		t.Error("decompress should bypass plain packets")
 	}
@@ -192,7 +192,7 @@ func TestFECRecoversSingleLoss(t *testing.T) {
 	}
 	var wire []Packet
 	for _, p := range originals {
-		out, err := encf.Process(p)
+		out, err := encf.Process(nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestFECRecoversSingleLoss(t *testing.T) {
 		if i == 1 {
 			continue // lost
 		}
-		o, err := decf.Process(p)
+		o, err := decf.Process(nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestFECDoubleLossUnrecoverable(t *testing.T) {
 	decf, _ := NewFECDecoder("G1", 3)
 	var wire []Packet
 	for i := 0; i < 3; i++ {
-		out, err := encf.Process(Packet{Seq: uint64(i + 1), Payload: []byte{byte(i)}})
+		out, err := encf.Process(nil, Packet{Seq: uint64(i + 1), Payload: []byte{byte(i)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestFECDoubleLossUnrecoverable(t *testing.T) {
 		if i == 0 || i == 1 {
 			continue // two losses
 		}
-		o, err := decf.Process(p)
+		o, err := decf.Process(nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestFECNoLossDropsParity(t *testing.T) {
 	decf, _ := NewFECDecoder("G1", 2)
 	var out []Packet
 	for i := 0; i < 2; i++ {
-		o, err := encf.Process(Packet{Seq: uint64(i), Payload: []byte{byte(i)}})
+		o, err := encf.Process(nil, Packet{Seq: uint64(i), Payload: []byte{byte(i)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestFECNoLossDropsParity(t *testing.T) {
 	}
 	var delivered []Packet
 	for _, p := range out {
-		o, err := decf.Process(p)
+		o, err := decf.Process(nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,10 +419,10 @@ type slowFilter struct {
 
 func (s *slowFilter) Name() string { return "slow" }
 
-func (s *slowFilter) Process(p Packet) ([]Packet, error) {
+func (s *slowFilter) Process(dst []Packet, p Packet) ([]Packet, error) {
 	s.startOnce.Do(func() { close(s.started) })
 	<-s.release
-	return []Packet{p}, nil
+	return append(dst, p), nil
 }
 
 func TestBlockTimeout(t *testing.T) {
@@ -478,6 +478,7 @@ func TestRecvSocketPipeline(t *testing.T) {
 	var got []Packet
 	var mu sync.Mutex
 	sock, err := NewRecvSocket(func(p Packet) error {
+		p.Payload = bytes.Clone(p.Payload) // kept past the call, so copied (see SinkFunc)
 		mu.Lock()
 		got = append(got, p)
 		mu.Unlock()
@@ -497,7 +498,7 @@ func TestRecvSocketPipeline(t *testing.T) {
 
 	enc := NewEncoder("E1", c)
 	in := Packet{Seq: 1, Payload: []byte("hello")}
-	encoded, _ := enc.Process(in)
+	encoded, _ := enc.Process(nil, in)
 	ch <- encoded[0].Marshal()
 	ch <- []byte{1, 2} // malformed
 

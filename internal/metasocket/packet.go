@@ -8,14 +8,23 @@
 package metasocket
 
 import (
+	"bytes"
 	"encoding/binary"
-	"fmt"
+	"errors"
+	"slices"
 )
 
 // Packet is one unit of the application data stream. Filters transform
 // packets; the encoding-tag stack records which transformations are
 // currently applied to the payload (innermost transformation last), which
 // is what the paper's bypass decoders key on.
+//
+// A Packet is passed by value but its Payload and Enc are references,
+// and the whole data plane treats them by one rule: a payload is borrowed
+// for the duration of the call it is passed to; whoever keeps bytes past
+// the call copies them. Enc stacks are immutable and shared — many
+// packets carry the same backing array — so they are only ever replaced
+// (PushEnc, PopEnc), never written through.
 type Packet struct {
 	// Seq is the send-socket sequence number, stamped at transmission;
 	// it doubles as the packet's critical-communication identifier.
@@ -32,13 +41,43 @@ type Packet struct {
 	Payload []byte
 }
 
-// PushEnc returns p with the tag pushed and the new payload.
+// The wire form spends one byte on the stack depth and one on each tag's
+// length.
+const (
+	maxEncDepth = 255
+	maxTagLen   = 255
+)
+
+var (
+	errTagTooLong  = errors.New("metasocket: encoding tag longer than 255 bytes")
+	errEncTooDeep  = errors.New("metasocket: encoding stack deeper than 255 tags")
+	errShort       = errors.New("metasocket: packet shorter than its 17-byte header")
+	errTruncated   = errors.New("metasocket: truncated encoding tags")
+	errNoLength    = errors.New("metasocket: truncated payload length")
+	errPayloadSize = errors.New("metasocket: payload length does not match the bytes that follow it")
+)
+
+// PushEnc returns p with the tag pushed and the new payload. The stack it
+// returns is a fresh one: Enc stacks are shared, so a push never appends
+// in place.
 func (p Packet) PushEnc(tag string, payload []byte) Packet {
+	//safeadaptvet:allow hotpath -- a stacked encoding builds its new stack per packet; a plain input, the stream's case, goes through pushShared and takes the filter's prebuilt one-tag stack
 	enc := make([]string, len(p.Enc)+1)
 	copy(enc, p.Enc)
 	enc[len(p.Enc)] = tag
 	p.Enc = enc
 	p.Payload = payload
+	return p
+}
+
+// pushShared is PushEnc for a filter that keeps its one-tag stack
+// prebuilt: a plain packet, the stream's case, leaves with that stack
+// itself, shared by every packet; only a stacked encoding builds one.
+func (p Packet) pushShared(stack []string, payload []byte) Packet {
+	if len(p.Enc) > 0 {
+		return p.PushEnc(stack[0], payload)
+	}
+	p.Enc, p.Payload = stack, payload
 	return p
 }
 
@@ -52,12 +91,26 @@ func (p Packet) TopEnc() string {
 }
 
 // PopEnc returns p with the outermost tag removed and the new payload.
+// The result shares the rest of the stack with p.
 func (p Packet) PopEnc(payload []byte) Packet {
-	enc := make([]string, len(p.Enc)-1)
-	copy(enc, p.Enc[:len(p.Enc)-1])
-	p.Enc = enc
+	p.Enc = p.Enc[: len(p.Enc)-1 : len(p.Enc)-1]
 	p.Payload = payload
 	return p
+}
+
+// encodable reports whether the packet's tag stack fits the wire form;
+// MarshalInto would otherwise truncate it into a datagram that no longer
+// parses.
+func (p Packet) encodable() error {
+	if len(p.Enc) > maxEncDepth {
+		return errEncTooDeep
+	}
+	for _, t := range p.Enc {
+		if len(t) > maxTagLen {
+			return errTagTooLong
+		}
+	}
+	return nil
 }
 
 // Marshal encodes the packet for network transmission into a fresh
@@ -69,18 +122,15 @@ func (p Packet) Marshal() []byte { return p.MarshalInto(nil) }
 // large enough, growing it otherwise, and returns the encoded slice. The
 // send socket passes its per-socket scratch buffer so the steady-state
 // marshal is allocation-free; the returned slice is only valid until the
-// next MarshalInto on the same buffer.
+// next MarshalInto on the same buffer. The packet must be encodable (the
+// send socket checks).
 func (p Packet) MarshalInto(dst []byte) []byte {
 	size := 8 + 4 + 2 + 2 + 1
 	for _, t := range p.Enc {
 		size += 1 + len(t)
 	}
 	size += 4 + len(p.Payload)
-	if cap(dst) < size {
-		//safeadaptvet:allow hotpath -- pooled buffer grows only while a packet outgrows every prior one; the steady state reuses dst
-		dst = make([]byte, size)
-	}
-	dst = dst[:size]
+	dst = slices.Grow(dst[:0], size)[:size]
 
 	binary.BigEndian.PutUint64(dst[0:8], p.Seq)
 	binary.BigEndian.PutUint32(dst[8:12], p.Frame)
@@ -99,19 +149,30 @@ func (p Packet) MarshalInto(dst []byte) []byte {
 	return dst
 }
 
-// Unmarshal decodes a packet from its wire form.
-func Unmarshal(data []byte) (Packet, error) { return unmarshalIntern(data, nil) }
+// Unmarshal decodes a packet from its wire form into storage of its own:
+// the result shares nothing with data.
+func Unmarshal(data []byte) (Packet, error) {
+	p, err := parse(data, nil)
+	p.Payload = bytes.Clone(p.Payload)
+	return p, err
+}
 
-// unmarshalIntern is Unmarshal with an optional encoding-tag intern
-// table. A receive socket sees the same handful of codec tags on every
-// datagram; interning makes the per-tag string allocation a first-sight
-// cost instead of a per-packet one. The map is owned by a single socket
-// goroutine — no locking.
-func unmarshalIntern(data []byte, intern map[string]string) (Packet, error) {
+// maxInternedStacks caps a receive socket's tag-stack table. A stream
+// carries a handful of distinct stacks (one per codec composition it has
+// ever used); a sender of garbled or random tag bytes would otherwise
+// grow the table forever. Past the cap a new stack is decoded per
+// datagram and not remembered.
+const maxInternedStacks = 64
+
+// parse decodes a datagram without copying it: the packet's Payload
+// aliases data, and its Enc is the stack interned in stacks under the raw
+// header bytes that spell it, so the same few []string serve every
+// datagram of a stream. A nil table interns nothing. The table is owned
+// by a single socket goroutine — no locking.
+func parse(data []byte, stacks map[string][]string) (Packet, error) {
 	var p Packet
 	if len(data) < 17 {
-		//safeadaptvet:allow hotpath -- error path: the datagram was already malformed, the boxing happens after the hot path failed
-		return p, fmt.Errorf("metasocket: packet too short (%d bytes)", len(data))
+		return p, errShort
 	}
 	p.Seq = binary.BigEndian.Uint64(data[0:8])
 	p.Frame = binary.BigEndian.Uint32(data[8:12])
@@ -119,46 +180,42 @@ func unmarshalIntern(data []byte, intern map[string]string) (Packet, error) {
 	p.Count = binary.BigEndian.Uint16(data[14:16])
 	n := int(data[16])
 	off := 17
-	if n > 0 {
-		//safeadaptvet:allow hotpath -- ownership of the decoded packet (and its Enc slice) transfers to the sink, which may retain it
-		p.Enc = make([]string, 0, n)
-	}
 	for i := 0; i < n; i++ {
 		if off >= len(data) {
-			return p, fmt.Errorf("metasocket: truncated encoding tags")
+			return p, errTruncated
 		}
-		tl := int(data[off])
-		off++
-		if off+tl > len(data) {
-			//safeadaptvet:allow hotpath -- error path: malformed datagram, boxing happens after the hot path failed
-			return p, fmt.Errorf("metasocket: truncated encoding tag %d", i)
+		off += 1 + int(data[off])
+		if off > len(data) {
+			return p, errTruncated
 		}
-		var tag string
-		//safeadaptvet:allow hotpath -- map index with a string(b) key is compiler-elided, no copy
-		if s, ok := intern[string(data[off:off+tl])]; ok {
-			tag = s
-		} else {
-			//safeadaptvet:allow hotpath -- first sight of a tag; every later packet carrying it hits the intern table above
-			tag = string(data[off : off+tl])
-			if intern != nil {
-				intern[tag] = tag
+	}
+	if n > 0 {
+		raw := data[16:off]               // depth byte, then each tag behind its length
+		enc, known := stacks[string(raw)] // the compiler looks a string(b) key up in place
+
+		if !known {
+			//safeadaptvet:allow hotpath -- first sight of a tag stack: one string holding its bytes and one []string of tags cut from it, shared by every later datagram that spells the same stack
+			key, tags := string(raw), make([]string, n)
+			for i, at := 0, 1; i < n; i++ {
+				end := at + 1 + int(key[at])
+				tags[i] = key[at+1 : end]
+				at = end
 			}
+			if stacks != nil && len(stacks) < maxInternedStacks {
+				stacks[key] = tags
+			}
+			enc = tags
 		}
-		//safeadaptvet:allow hotpath -- append into the packet's own Enc slice, sized by the make above; never grows
-		p.Enc = append(p.Enc, tag)
-		off += tl
+		p.Enc = enc
 	}
 	if off+4 > len(data) {
-		return p, fmt.Errorf("metasocket: truncated payload length")
+		return p, errNoLength
 	}
 	pl := int(binary.BigEndian.Uint32(data[off : off+4]))
 	off += 4
 	if off+pl != len(data) {
-		//safeadaptvet:allow hotpath -- error path: malformed datagram, boxing happens after the hot path failed
-		return p, fmt.Errorf("metasocket: payload length %d does not match remaining %d bytes", pl, len(data)-off)
+		return p, errPayloadSize
 	}
-	//safeadaptvet:allow hotpath -- defensive copy: the datagram may be shared across multicast subscribers; ownership of the copy transfers to the sink
-	p.Payload = make([]byte, pl)
-	copy(p.Payload, data[off:])
+	p.Payload = data[off:len(data):len(data)]
 	return p, nil
 }

@@ -2,67 +2,73 @@ package metasocket
 
 import (
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
-// passFilter forwards packets unchanged, reusing one scratch slice so the
-// benchmark measures the metasocket framework's own allocations, not the
-// filter's. Real codec filters allocate in their payload transforms; the
-// per-packet framework path (chain walk, marshal, transmit) must not.
-type passFilter struct {
+// registries are the two telemetry states the packet path runs in: none
+// attached, and a live one (counting a packet must then be an atomic add
+// on a handle resolved once, not a lookup by name).
+var registries = []struct {
 	name string
-	out  []Packet
-}
-
-func (f *passFilter) Name() string { return f.name }
-
-func (f *passFilter) Process(p Packet) ([]Packet, error) {
-	f.out = f.out[:0]
-	f.out = append(f.out, p)
-	return f.out, nil
+	tel  func() *telemetry.Registry
+}{
+	{"telemetry=nil", func() *telemetry.Registry { return nil }},
+	{"telemetry=live", telemetry.NewRegistry},
 }
 
 // BenchmarkPacketPath measures the per-packet send path — filter chain →
-// resetting-flag check → transmit — the path ROADMAP item 5 (zero-copy
-// MetaSockets) targets and the hotpath analyzer polices. The transmit
-// function is a sink so the number is the framework's own cost.
+// resetting-flag check → marshal → transmit — through two passthrough
+// filters, so the number is the framework's own cost. The transmit
+// function is a sink.
 func BenchmarkPacketPath(b *testing.B) {
-	var sunk int
-	s, err := NewSendSocket(func(d []byte) error {
-		sunk += len(d)
-		return nil
-	}, &passFilter{name: "a"}, &passFilter{name: "b"})
-	if err != nil {
-		b.Fatal(err)
+	for _, reg := range registries {
+		b.Run(reg.name, func(b *testing.B) {
+			var sunk int
+			s, err := NewSendSocket(func(d []byte) error {
+				sunk += len(d)
+				return nil
+			}, NewPassthrough("a"), NewPassthrough("b"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.SetTelemetry(reg.tel())
+			payload := make([]byte, 1024)
+			p := Packet{Frame: 7, Index: 0, Count: 1, Enc: []string{"flate", "des64"}, Payload: payload}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Send(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			_ = sunk
+		})
 	}
-	payload := make([]byte, 1024)
-	p := Packet{Frame: 7, Index: 0, Count: 1, Enc: []string{"flate", "des64"}, Payload: payload}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Send(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-	_ = sunk
 }
 
 // BenchmarkPacketPathRecv measures the per-packet receive path: datagram →
-// unmarshal → decoder chain → sink.
+// parse → decoder chain → sink.
 func BenchmarkPacketPathRecv(b *testing.B) {
-	var sunk int
-	r, err := NewRecvSocket(func(p Packet) error {
-		sunk += len(p.Payload)
-		return nil
-	}, &passFilter{name: "a"})
-	if err != nil {
-		b.Fatal(err)
+	for _, reg := range registries {
+		b.Run(reg.name, func(b *testing.B) {
+			var sunk int
+			r, err := NewRecvSocket(func(p Packet) error {
+				sunk += len(p.Payload)
+				return nil
+			}, NewPassthrough("a"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			r.SetTelemetry(reg.tel())
+			p := Packet{Seq: 9, Frame: 7, Count: 1, Enc: []string{"flate", "des64"}, Payload: make([]byte, 1024)}
+			datagram := p.Marshal()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.deliver(datagram)
+			}
+			_ = sunk
+		})
 	}
-	p := Packet{Seq: 9, Frame: 7, Count: 1, Enc: []string{"flate", "des64"}, Payload: make([]byte, 1024)}
-	datagram := p.Marshal()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.deliver(datagram)
-	}
-	_ = sunk
 }

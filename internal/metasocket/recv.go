@@ -13,6 +13,14 @@ import (
 
 // SinkFunc receives packets after decoder-chain processing; the video
 // client wires it to the depacketizer/player.
+//
+// A payload is borrowed for the duration of the call it is passed to;
+// whoever keeps bytes past the call copies them. The payload sits in the
+// datagram (shared, read-only, with every other subscriber of the link)
+// or in a buffer the last decoder reuses for the next packet: a sink
+// that stores the Packet it was handed, without copying Payload, will
+// find other bytes there later. (video.Player copies each fragment into
+// its frame's buffer; a relay's sink finishes its Send before returning.)
 type SinkFunc func(Packet) error
 
 // Link is what a receive socket needs from the network link that feeds
@@ -40,7 +48,7 @@ type RecvSocket struct {
 
 	processed atomic.Uint64
 	decodeErr atomic.Uint64
-	tel       atomic.Pointer[telemetry.Registry]
+	tel       atomic.Pointer[recvTelemetry]
 
 	// link, when attached, is the ledger of what the network owes this
 	// socket; Drained compares it with processed.
@@ -52,11 +60,12 @@ type RecvSocket struct {
 	// observeDelivery, when set, sees every packet emitted to the sink.
 	observeDelivery func(Packet)
 
-	// encIntern dedups encoding-tag strings across datagrams: the same
-	// handful of codec tags arrives on every packet, so each tag string
-	// is allocated once at first sight instead of once per packet. Owned
-	// by the single delivery goroutine — no locking.
-	encIntern map[string]string
+	// stacks interns whole tag stacks across datagrams, keyed by the raw
+	// header bytes that spell them (see parse): the same few stacks
+	// arrive on every packet, so each is built once at first sight. It
+	// holds at most maxInternedStacks. Owned by the single delivery
+	// goroutine — no locking.
+	stacks map[string][]string
 
 	wg      sync.WaitGroup
 	started bool
@@ -68,7 +77,8 @@ func NewRecvSocket(sink SinkFunc, filters ...Filter) (*RecvSocket, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("metasocket: nil sink function")
 	}
-	r := &RecvSocket{blocker: newBlocker(), sink: sink, encIntern: make(map[string]string, 8)}
+	r := &RecvSocket{blocker: newBlocker(), sink: sink, stacks: make(map[string][]string, 8)}
+	r.SetTelemetry(nil)
 	for _, f := range filters {
 		if err := r.chain.insert(f, -1); err != nil {
 			return nil, err
@@ -77,9 +87,23 @@ func NewRecvSocket(sink SinkFunc, filters ...Filter) (*RecvSocket, error) {
 	return r, nil
 }
 
+// recvTelemetry is a registry with the per-packet handles resolved once;
+// see sendTelemetry.
+type recvTelemetry struct {
+	reg                               *telemetry.Registry
+	packets, decodeErrors, sinkErrors *telemetry.Counter
+}
+
 // SetTelemetry installs the telemetry registry the socket reports packet
 // counts and blocking latency to. Nil disables instrumentation.
-func (r *RecvSocket) SetTelemetry(tel *telemetry.Registry) { r.tel.Store(tel) }
+func (r *RecvSocket) SetTelemetry(tel *telemetry.Registry) {
+	r.tel.Store(&recvTelemetry{
+		reg:          tel,
+		packets:      tel.Counter("metasocket.recv.packets"),
+		decodeErrors: tel.Counter("metasocket.recv.decode_errors"),
+		sinkErrors:   tel.Counter("metasocket.recv.sink_errors"),
+	})
+}
 
 // AttachLink attaches the link whose channel the socket consumes, making
 // Drained exact: the socket then knows of every datagram on the wire or
@@ -93,11 +117,14 @@ func (r *RecvSocket) AttachLink(l Link) {
 
 // SetArrivalObserver installs a hook that sees every packet after
 // unmarshalling, before the decoder chain runs. Set it before traffic
-// starts.
+// starts. A payload is borrowed for the duration of the call it is passed
+// to; whoever keeps bytes past the call copies them.
 func (r *RecvSocket) SetArrivalObserver(fn func(Packet)) { r.observeArrival = fn }
 
 // SetDeliveryObserver installs a hook that sees every packet the chain
-// emits to the sink. Set it before traffic starts.
+// emits to the sink. Set it before traffic starts. A payload is borrowed
+// for the duration of the call it is passed to; whoever keeps bytes past
+// the call copies them.
 func (r *RecvSocket) SetDeliveryObserver(fn func(Packet)) { r.observeDelivery = fn }
 
 // Start consumes datagrams from the channel until it closes. It may be
@@ -125,7 +152,9 @@ func (r *RecvSocket) Wait() {
 	r.blocker.close()
 }
 
-// deliver runs one datagram through the decoder chain.
+// deliver runs one datagram through the decoder chain. The datagram is
+// only read: the link hands the same bytes to every subscriber, and the
+// packet parsed from it aliases them.
 //
 //safeadaptvet:hotpath
 func (r *RecvSocket) deliver(datagram []byte) {
@@ -135,10 +164,11 @@ func (r *RecvSocket) deliver(datagram []byte) {
 	defer r.exit()
 	defer r.processed.Add(1)
 
-	p, err := unmarshalIntern(datagram, r.encIntern)
+	tel := r.tel.Load()
+	p, err := parse(datagram, r.stacks)
 	if err != nil {
 		r.decodeErr.Add(1)
-		r.tel.Load().Counter("metasocket.recv.decode_errors").Inc()
+		tel.decodeErrors.Inc()
 		return
 	}
 	if r.observeArrival != nil {
@@ -147,17 +177,17 @@ func (r *RecvSocket) deliver(datagram []byte) {
 	outs, err := r.chain.run(p)
 	if err != nil {
 		r.decodeErr.Add(1)
-		r.tel.Load().Counter("metasocket.recv.decode_errors").Inc()
+		tel.decodeErrors.Inc()
 		return
 	}
-	r.tel.Load().Counter("metasocket.recv.packets").Inc()
+	tel.packets.Inc()
 	for _, out := range outs {
 		if r.observeDelivery != nil {
 			r.observeDelivery(out)
 		}
 		if err := r.sink(out); err != nil {
 			r.decodeErr.Add(1)
-			r.tel.Load().Counter("metasocket.recv.sink_errors").Inc()
+			tel.sinkErrors.Inc()
 		}
 	}
 }
@@ -221,7 +251,7 @@ func (r *RecvSocket) WaitDrained(ctx context.Context) error {
 		}
 		r.cond.Wait()
 	}
-	r.tel.Load().Histogram("metasocket.recv.drain.latency").ObserveSince(start)
+	r.tel.Load().reg.Histogram("metasocket.recv.drain.latency").ObserveSince(start)
 	return nil
 }
 
@@ -231,7 +261,7 @@ func (r *RecvSocket) WaitDrained(ctx context.Context) error {
 func (r *RecvSocket) RequestBlock(ctx context.Context) error {
 	start := time.Now()
 	err := r.blocker.RequestBlock(ctx)
-	tel := r.tel.Load()
+	tel := r.tel.Load().reg
 	if err != nil {
 		tel.Counter("metasocket.recv.block_failures").Inc()
 		return err
@@ -249,7 +279,7 @@ func (r *RecvSocket) RequestBlock(ctx context.Context) error {
 // blocked — the receiver's blackout — is recorded.
 func (r *RecvSocket) Unblock() {
 	if held, ok := r.unblock(); ok {
-		r.tel.Load().Histogram("metasocket.recv.blocked.latency").Observe(held)
+		r.tel.Load().reg.Histogram("metasocket.recv.blocked.latency").Observe(held)
 	}
 }
 

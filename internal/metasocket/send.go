@@ -13,11 +13,11 @@ import (
 // server wires it to a netsim multicast group, tests to whatever they
 // need.
 //
-// The datagram slice is the socket's pooled marshal buffer, reused for
-// the next packet as soon as the call returns: implementations that need
-// to retain it must copy. (Both real sinks already do — netsim's
-// Group.Send copies into its own payload buffer, and a UDP write copies
-// into the kernel.)
+// A payload is borrowed for the duration of the call it is passed to;
+// whoever keeps bytes past the call copies them. The datagram is the
+// socket's pooled marshal buffer, reused for the next packet as soon as
+// the call returns. (Both real sinks copy — netsim's Group.Send into the
+// buffer its links then own, a UDP write into the kernel.)
 type TransmitFunc func(datagram []byte) error
 
 // SendSocket is the sending half of a MetaSocket: application packets
@@ -31,7 +31,7 @@ type SendSocket struct {
 
 	nextSeq atomic.Uint64
 	sent    atomic.Uint64
-	tel     atomic.Pointer[telemetry.Registry]
+	tel     atomic.Pointer[sendTelemetry]
 
 	// mbuf is the pooled marshal buffer: sendLocked encodes every
 	// outgoing packet into it and hands it to transmit, which must not
@@ -44,9 +44,23 @@ type SendSocket struct {
 	observe func(Packet)
 }
 
+// sendTelemetry is a registry with the per-packet handles resolved once,
+// so that counting a packet is an atomic add and not a name lookup. Over
+// a nil registry every handle is nil, and a nil handle is a no-op.
+type sendTelemetry struct {
+	reg                     *telemetry.Registry
+	packets, transmitErrors *telemetry.Counter
+}
+
 // SetTelemetry installs the telemetry registry the socket reports packet
 // counts and blocking latency to. Nil disables instrumentation.
-func (s *SendSocket) SetTelemetry(tel *telemetry.Registry) { s.tel.Store(tel) }
+func (s *SendSocket) SetTelemetry(tel *telemetry.Registry) {
+	s.tel.Store(&sendTelemetry{
+		reg:            tel,
+		packets:        tel.Counter("metasocket.send.packets"),
+		transmitErrors: tel.Counter("metasocket.send.transmit_errors"),
+	})
+}
 
 // NewSendSocket builds a send socket with the given initial encoder chain.
 func NewSendSocket(transmit TransmitFunc, filters ...Filter) (*SendSocket, error) {
@@ -54,6 +68,7 @@ func NewSendSocket(transmit TransmitFunc, filters ...Filter) (*SendSocket, error
 		return nil, fmt.Errorf("metasocket: nil transmit function")
 	}
 	s := &SendSocket{blocker: newBlocker(), transmit: transmit}
+	s.SetTelemetry(nil)
 	for _, f := range filters {
 		if err := s.chain.insert(f, -1); err != nil {
 			return nil, err
@@ -63,7 +78,9 @@ func NewSendSocket(transmit TransmitFunc, filters ...Filter) (*SendSocket, error
 }
 
 // SetObserver installs a hook that sees every packet immediately before
-// transmission. Set it before traffic starts.
+// transmission. Set it before traffic starts. A payload is borrowed for
+// the duration of the call it is passed to; whoever keeps bytes past the
+// call copies them.
 func (s *SendSocket) SetObserver(fn func(Packet)) { s.observe = fn }
 
 // Send pushes one packet through the filter chain and transmits the
@@ -112,18 +129,25 @@ func (s *SendSocket) sendLocked(p Packet) error {
 	if err != nil {
 		return fmt.Errorf("metasocket: send chain: %w", err)
 	}
+	tel := s.tel.Load()
 	for _, out := range outs {
+		// A tag stack the wire form cannot hold is refused here, where
+		// any filter's output becomes a datagram, not truncated into one
+		// that no longer parses.
+		if err := out.encodable(); err != nil {
+			return err
+		}
 		out.Seq = s.nextSeq.Add(1)
 		if s.observe != nil {
 			s.observe(out)
 		}
 		s.mbuf = out.MarshalInto(s.mbuf)
 		if err := s.transmit(s.mbuf); err != nil {
-			s.tel.Load().Counter("metasocket.send.transmit_errors").Inc()
+			tel.transmitErrors.Inc()
 			return fmt.Errorf("metasocket: transmit: %w", err)
 		}
 		s.sent.Add(1)
-		s.tel.Load().Counter("metasocket.send.packets").Inc()
+		tel.packets.Inc()
 	}
 	return nil
 }
@@ -182,7 +206,7 @@ func (s *SendSocket) Close() { s.blocker.close() }
 func (s *SendSocket) RequestBlock(ctx context.Context) error {
 	start := time.Now()
 	err := s.blocker.RequestBlock(ctx)
-	tel := s.tel.Load()
+	tel := s.tel.Load().reg
 	if err != nil {
 		tel.Counter("metasocket.send.block_failures").Inc()
 		return err
@@ -197,6 +221,6 @@ func (s *SendSocket) RequestBlock(ctx context.Context) error {
 // blocked — the sender's blackout — is recorded.
 func (s *SendSocket) Unblock() {
 	if held, ok := s.unblock(); ok {
-		s.tel.Load().Histogram("metasocket.send.blocked.latency").Observe(held)
+		s.tel.Load().reg.Histogram("metasocket.send.blocked.latency").Observe(held)
 	}
 }

@@ -1,10 +1,13 @@
 package metasocket
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -135,21 +138,22 @@ type chain struct {
 	filters []Filter
 	// snap is the immutable snapshot run iterates: rebuilt (as a fresh
 	// slice, so an in-flight run holding the old one is unaffected) on
-	// every mutation instead of copied on every packet.
-	snap []Filter
-	// runIn and runOut are run's ping-pong scratch slices. The blocker
+	// every mutation instead of copied on every packet, and published
+	// atomically so run takes no lock.
+	snap atomic.Pointer[[]Filter]
+	// one, runA and runB are run's scratch: the input packet's slot and
+	// the two slices the stages ping-pong between, which filters append
+	// to and which keep their capacity across packets. The blocker
 	// serializes packet processing (one run at a time per socket), so the
-	// scratch needs no locking of its own; it is read and stored back
-	// under mu only to stay clean under the race detector when the
-	// Unsafe* mutation paths are exercised.
-	runIn, runOut []Packet
+	// scratch has a single owner.
+	one        [1]Packet
+	runA, runB []Packet
 }
 
 // rebuildLocked refreshes the run snapshot; callers hold c.mu.
 func (c *chain) rebuildLocked() {
-	snap := make([]Filter, len(c.filters))
-	copy(snap, c.filters)
-	c.snap = snap
+	snap := slices.Clone(c.filters)
+	c.snap.Store(&snap)
 }
 
 func (c *chain) names() []string {
@@ -215,36 +219,42 @@ func (c *chain) replace(oldName string, f Filter) error {
 }
 
 // run pushes one packet through the chain. The returned slice is the
-// chain's scratch: valid until the next run, so callers must finish with
+// chain's scratch, and the payloads in it may sit in buffers the filters
+// own: all of it is valid until the next run, so callers must finish with
 // it (or copy) before processing another packet — the blocker's
 // one-packet-at-a-time discipline guarantees exactly that.
 func (c *chain) run(p Packet) ([]Packet, error) {
-	c.mu.Lock()
-	filters := c.snap
-	in, out := c.runIn[:0], c.runOut[:0]
-	c.mu.Unlock()
-	//safeadaptvet:allow hotpath -- append into per-chain scratch; capacity stabilizes after the first packets and is reused forever after
-	in = append(in, p)
+	c.one[0] = p
+	in := c.one[:]
+	var filters []Filter
+	if snap := c.snap.Load(); snap != nil {
+		filters = *snap
+	}
 	for _, f := range filters {
-		out = out[:0]
-		for _, q := range in {
-			res, err := f.Process(q)
-			if err != nil {
+		out := c.runA[:0]
+		for i, q := range in {
+			n := len(out)
+			var err error
+			if out, err = f.Process(out, q); err != nil {
 				return nil, err
 			}
-			//safeadaptvet:allow hotpath -- append into per-chain scratch; capacity stabilizes after the first packets and is reused forever after
-			out = append(out, res...)
+			if i == len(in)-1 {
+				break
+			}
+			// f runs again before anyone reads what it just emitted, and
+			// may reuse the buffer that payload sits in. The chain is the
+			// one keeping those bytes past the call, so it copies. Only a
+			// stage downstream of a fan-out (FEC parity) gets here.
+			for k := n; k < len(out); k++ {
+				out[k].Payload = bytes.Clone(out[k].Payload)
+			}
 		}
-		in, out = out, in
+		// This stage's output is the next one's input, and the next one
+		// writes the other slice.
+		in, c.runA, c.runB = out, c.runB, out
 		if len(in) == 0 {
-			break
+			return nil, nil
 		}
-	}
-	c.mu.Lock()
-	c.runIn, c.runOut = in, out
-	c.mu.Unlock()
-	if len(in) == 0 {
-		return nil, nil
 	}
 	return in, nil
 }

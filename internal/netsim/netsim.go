@@ -81,13 +81,47 @@ type Group struct {
 	subs   map[string]*Subscription
 	order  []*Subscription // insertion order: PRNG draws must not depend on map iteration
 	closed bool
-	tel    atomic.Pointer[telemetry.Registry] // lock-free: workers read it under s.mu
+	tel    atomic.Pointer[groupTelemetry] // lock-free: workers read it under s.mu
+}
+
+// groupTelemetry is a registry with the per-datagram handles resolved
+// once, so that counting a datagram is an atomic add and not a name
+// lookup under the link's lock. Over a nil registry every handle is nil,
+// and a nil handle is a no-op.
+type groupTelemetry struct {
+	reg                      *telemetry.Registry
+	sent, delivered, dropped *telemetry.Counter
+	inFlight                 *telemetry.Gauge
 }
 
 // SetTelemetry installs the telemetry registry the group counts datagram
 // traffic on (sent, delivered, dropped, and the in-flight gauge the safe
 // condition watches). Nil disables instrumentation.
-func (g *Group) SetTelemetry(tel *telemetry.Registry) { g.tel.Store(tel) }
+func (g *Group) SetTelemetry(tel *telemetry.Registry) {
+	g.tel.Store(&groupTelemetry{
+		reg:       tel,
+		sent:      tel.Counter("netsim.datagrams.sent"),
+		delivered: tel.Counter("netsim.datagrams.delivered"),
+		dropped:   tel.Counter("netsim.datagrams.dropped"),
+		inFlight:  tel.Gauge("netsim.datagrams.in_flight"),
+	})
+}
+
+// recordDrop notes a lost datagram in the flight recorder, when one is
+// attached. It reads the Lamport clock, never advances it: telemetry must
+// not perturb the PRNG-driven loss/jitter schedule or the protocol's
+// clocks, so same-seed runs stay byte-identical with tracing enabled.
+func (t *groupTelemetry) recordDrop(detail string) {
+	t.dropped.Inc()
+	if fr := t.reg.Flight(); fr.Enabled() {
+		fr.Record(telemetry.FlightEvent{
+			Kind:    telemetry.FlightDrop,
+			Lamport: t.reg.LamportNow(),
+			TraceID: t.reg.ActiveTrace(),
+			Detail:  detail,
+		})
+	}
+}
 
 // NewGroup creates a multicast group with the given PRNG seed. Identical
 // seeds and send sequences yield identical loss/jitter decisions.
@@ -103,11 +137,13 @@ func NewGroupWithClock(seed int64, clock Clock) *Group {
 	if clock == nil {
 		clock = SystemClock
 	}
-	return &Group{
+	g := &Group{
 		rng:   rand.New(rand.NewSource(seed)),
 		clock: clock,
 		subs:  make(map[string]*Subscription),
 	}
+	g.SetTelemetry(nil)
+	return g
 }
 
 // Subscription is one receiver's membership in a group. Each
@@ -118,9 +154,14 @@ type Subscription struct {
 	name    string
 	profile LinkProfile
 
-	mu      sync.Mutex
-	cond    *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// queue[head:] are the datagrams on the wire, in send order. The
+	// slice always starts at its array's first element — popping advances
+	// head, not the slice — so its capacity survives and append settles
+	// at the link's deepest backlog.
 	queue   []timedDatagram
+	head    int
 	ch      chan Datagram
 	closed  bool
 	workerD chan struct{}
@@ -131,6 +172,9 @@ type Subscription struct {
 	// onRelease, when set, is called (outside mu) after the link drops a
 	// datagram it had accepted; see OnRelease.
 	onRelease func()
+
+	// What the flight recorder is told about a drop on this link.
+	lossDetail, overflowDetail string
 }
 
 type timedDatagram struct {
@@ -164,6 +208,9 @@ func (g *Group) Subscribe(name string, profile LinkProfile, buffer int) (*Subscr
 		profile: profile,
 		ch:      make(chan Datagram, buffer),
 		workerD: make(chan struct{}),
+
+		lossDetail:     "netsim datagram loss on link to " + name,
+		overflowDetail: "netsim receiver overflow on link to " + name,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	g.subs[name] = s
@@ -172,44 +219,40 @@ func (g *Group) Subscribe(name string, profile LinkProfile, buffer int) (*Subscr
 	return s, nil
 }
 
-// Send multicasts the datagram to every current subscriber. The payload
-// is copied once, so senders may reuse their buffer.
+// Send multicasts the datagram to every current subscriber. A payload is
+// borrowed for the duration of the call it is passed to; whoever keeps
+// bytes past the call copies them: the links keep the datagram until it is
+// delivered, so Send copies it, once, and every subscriber receives that
+// one copy — shared, and to be treated as read-only.
+//
+//safeadaptvet:hotpath
 func (g *Group) Send(d Datagram) error {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.closed {
-		g.mu.Unlock()
 		return ErrClosed
 	}
+	//safeadaptvet:allow hotpath -- ownership transfer: the sender reuses d as soon as Send returns and the links hold the datagram until delivery, so this copy is theirs
 	payload := make(Datagram, len(d))
 	copy(payload, d)
 
+	tel := g.tel.Load()
 	now := g.clock.Now()
-	type plan struct {
-		sub  *Subscription
-		drop bool
-		at   time.Time
-	}
-	plans := make([]plan, 0, len(g.order))
 	for _, sub := range g.order {
-		p := plan{sub: sub, at: now.Add(sub.profile.Latency)}
-		if sub.profile.LossRate > 0 && g.rng.Float64() < sub.profile.LossRate {
-			p.drop = true
-		}
+		// Two PRNG draws per link, in this order, whatever they decide:
+		// the loss/jitter schedule is a function of the seed alone.
+		drop := sub.profile.LossRate > 0 && g.rng.Float64() < sub.profile.LossRate
+		at := now.Add(sub.profile.Latency)
 		if sub.profile.Jitter > 0 {
-			p.at = p.at.Add(time.Duration(g.rng.Int63n(int64(sub.profile.Jitter))))
+			at = at.Add(time.Duration(g.rng.Int63n(int64(sub.profile.Jitter))))
 		}
-		plans = append(plans, p)
-	}
-	g.mu.Unlock()
-
-	g.tel.Load().Counter("netsim.datagrams.sent").Inc()
-	for _, p := range plans {
-		if p.drop {
-			p.sub.noteDropped()
-			continue
+		if drop {
+			sub.noteDropped(tel)
+		} else {
+			sub.enqueue(payload, at, tel)
 		}
-		p.sub.enqueue(payload, p.at)
 	}
+	tel.sent.Inc()
 	return nil
 }
 
@@ -321,35 +364,40 @@ func (s *Subscription) Unsubscribe() {
 	s.close()
 }
 
-func (s *Subscription) enqueue(d Datagram, at time.Time) {
+func (s *Subscription) enqueue(d Datagram, at time.Time, tel *groupTelemetry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
+	//safeadaptvet:allow hotpath -- the wire's queue keeps its capacity (see queue): it grows until it has held the link's deepest backlog
 	s.queue = append(s.queue, timedDatagram{payload: d, deliverAt: at})
 	s.inFlight++
-	s.group.tel.Load().Gauge("netsim.datagrams.in_flight").Add(1)
+	tel.inFlight.Add(1)
 	s.cond.Broadcast()
 }
 
-func (s *Subscription) noteDropped() {
+// dequeue takes the oldest datagram off the wire; the caller holds s.mu
+// and has checked there is one. Once the dead prefix is half the slice
+// the live half moves down over it, so a pop costs one element's move on
+// average and the slice never creeps along its array.
+func (s *Subscription) dequeue() timedDatagram {
+	item := s.queue[s.head]
+	s.queue[s.head] = timedDatagram{}
+	s.head++
+	if 2*s.head >= len(s.queue) {
+		n := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[n:])
+		s.queue, s.head = s.queue[:n], 0
+	}
+	return item
+}
+
+func (s *Subscription) noteDropped(tel *groupTelemetry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dropped++
-	tel := s.group.tel.Load()
-	tel.Counter("netsim.datagrams.dropped").Inc()
-	// Read the Lamport clock, never advance it: telemetry must not perturb
-	// the PRNG-driven loss/jitter schedule or the protocol's clocks, so
-	// same-seed runs stay byte-identical with tracing enabled.
-	if fr := tel.Flight(); fr.Enabled() {
-		fr.Record(telemetry.FlightEvent{
-			Kind:    telemetry.FlightDrop,
-			Lamport: tel.LamportNow(),
-			TraceID: tel.ActiveTrace(),
-			Detail:  "netsim datagram loss on link to " + s.name,
-		})
-	}
+	tel.recordDrop(s.lossDetail)
 }
 
 // deliverLoop is the per-link worker: it delivers queued datagrams in
@@ -367,8 +415,7 @@ func (s *Subscription) deliverLoop() {
 			close(s.ch)
 			return
 		}
-		item := s.queue[0]
-		s.queue = s.queue[1:]
+		item := s.dequeue()
 		s.mu.Unlock()
 
 		clock := s.group.clock
@@ -379,26 +426,18 @@ func (s *Subscription) deliverLoop() {
 		s.mu.Lock()
 		s.inFlight--
 		tel := s.group.tel.Load()
-		tel.Gauge("netsim.datagrams.in_flight").Add(-1)
+		tel.inFlight.Add(-1)
 		var released func()
 		select {
 		case s.ch <- item.payload:
 			s.delivered++
-			tel.Counter("netsim.datagrams.delivered").Inc()
+			tel.delivered.Inc()
 		default:
 			// Receiver buffer overflow: the datagram is lost, as on a
 			// real congested link.
 			s.dropped++
 			released = s.onRelease
-			tel.Counter("netsim.datagrams.dropped").Inc()
-			if fr := tel.Flight(); fr.Enabled() {
-				fr.Record(telemetry.FlightEvent{
-					Kind:    telemetry.FlightDrop,
-					Lamport: tel.LamportNow(),
-					TraceID: tel.ActiveTrace(),
-					Detail:  "netsim receiver overflow on link to " + s.name,
-				})
-			}
+			tel.recordDrop(s.overflowDetail)
 		}
 		closedNow := s.closed && len(s.queue) == 0
 		s.mu.Unlock()

@@ -412,3 +412,36 @@ func TestOverflowDropReleases(t *testing.T) {
 		t.Fatalf("stats: delivered %d dropped %d", delivered, dropped)
 	}
 }
+
+// TestQueueKeepsItsCapacityUnderBacklog: a link that always has datagrams
+// on the wire (the handheld's 3 ms at 9,000 datagrams/s holds some 27)
+// pops from the front and pushes at the back for ever. The queue must stay
+// FIFO, and must stay in the array it grew into: re-slicing forward on
+// every pop would forfeit capacity and reallocate every few frames.
+func TestQueueKeepsItsCapacityUnderBacklog(t *testing.T) {
+	const backlog, ops = 27, 20000
+	s := &Subscription{}
+	push := func(i int) { s.queue = append(s.queue, timedDatagram{payload: Datagram{byte(i), byte(i >> 8)}}) }
+	next := 0
+	for ; next < backlog; next++ {
+		push(next)
+	}
+	settled := 0
+	for popped := 0; popped < ops; popped++ {
+		d := s.dequeue().payload
+		if got := int(d[0]) | int(d[1])<<8; got != popped%65536 {
+			t.Fatalf("pop %d returned datagram %d", popped, got)
+		}
+		push(next)
+		next++
+		if popped == 4*backlog {
+			settled = cap(s.queue)
+		}
+	}
+	if live := len(s.queue) - s.head; live != backlog {
+		t.Errorf("%d datagrams queued, want %d", live, backlog)
+	}
+	if cap(s.queue) != settled || settled > 4*backlog {
+		t.Errorf("queue capacity went from %d (after %d pops) to %d: it should settle within a few backlogs and stay", settled, 4*backlog, cap(s.queue))
+	}
+}

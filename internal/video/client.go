@@ -2,6 +2,7 @@ package video
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/metasocket"
@@ -31,78 +32,130 @@ type Stats struct {
 // Player is the integrity-verifying video player: it reassembles frames
 // from fragments and verifies their checksums.
 type Player struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// frames holds an assembly per frame still being put together and the
+	// shared judged sentinel for every frame that has had its verdict.
 	frames map[uint32]*frameAssembly
-	stats  Stats
+	// free lists the assemblies recycled at their frames' verdicts,
+	// linked through next: a steady stream reuses the same few.
+	free  *frameAssembly
+	stats Stats
 }
 
+// frameAssembly is one frame being put together. Fragment bodies are
+// copied into buf as they arrive — the packet's bytes are only borrowed
+// for the Deliver call — and spans says where each index landed.
 type frameAssembly struct {
-	count     uint16
-	fragments map[uint16][]byte // nil once finalized
+	spans     []span // by fragment index; its length is the frame's Count
+	buf       []byte // fragment bodies, in arrival order
+	received  int    // spans filled
 	corrupted bool
-	finalized bool
+	next      *frameAssembly // free list link
 }
+
+// span locates one fragment's body in its assembly's buf.
+type span struct {
+	off, n int
+	have   bool
+}
+
+// judged stands in frames for every frame that has had its verdict: the
+// verdict is all that outlives a frame, and keeping the payloads (or even
+// an assembly) of every frame ever played grows the heap without bound.
+var judged = new(frameAssembly)
 
 // NewPlayer builds an empty player.
 func NewPlayer() *Player {
 	return &Player{frames: make(map[uint32]*frameAssembly)}
 }
 
-// Deliver implements the MetaSocket sink: it accepts one fragment.
+// Deliver implements the MetaSocket sink: it accepts one fragment, whose
+// payload it copies — a payload is borrowed for the duration of the call
+// it is passed to; whoever keeps bytes past the call copies them.
+//
+// The first fragment of a frame fixes its Count. Of two fragments with
+// one index the first wins; a fragment whose Index is not below that
+// Count, or whose Count differs from it, or that still carries an
+// encoding, marks the frame corrupted; a fragment of a frame already
+// judged is ignored.
+//
+//safeadaptvet:hotpath
 func (pl *Player) Deliver(p metasocket.Packet) error {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.stats.PacketsDelivered++
-
-	fa := pl.frames[p.Frame]
-	if fa == nil {
-		fa = &frameAssembly{count: p.Count, fragments: make(map[uint16][]byte, p.Count)}
-		pl.frames[p.Frame] = fa
-	}
 	if len(p.Enc) > 0 {
 		// Residual encoding: the decoder chain did not match the encoder.
 		pl.stats.PacketsUndecoded++
+	}
+
+	fa := pl.frames[p.Frame]
+	if fa == judged {
+		return nil
+	}
+	if fa == nil {
+		fa = pl.assembly(int(p.Count))
+		pl.frames[p.Frame] = fa
+	}
+	if len(p.Enc) > 0 || int(p.Count) != len(fa.spans) {
 		fa.corrupted = true
 	}
-	if fa.finalized {
-		return nil // late duplicate: the frame is judged, its fragments released
+	if int(p.Index) >= len(fa.spans) {
+		fa.corrupted = true
+	} else if sp := &fa.spans[p.Index]; !sp.have {
+		*sp = span{off: len(fa.buf), n: len(p.Payload), have: true}
+		//safeadaptvet:allow hotpath -- the one copy on the receive side: the fragment leaves the borrowed datagram or decoder buffer for the frame's own, which a recycled assembly has already grown to a frame's size
+		fa.buf = append(fa.buf, p.Payload...)
+		fa.received++
 	}
-	if _, dup := fa.fragments[p.Index]; !dup {
-		fa.fragments[p.Index] = p.Payload
+	if fa.received < len(fa.spans) {
+		return nil
 	}
-	pl.maybeFinalize(p.Frame, fa)
-	return nil
-}
 
-func (pl *Player) maybeFinalize(id uint32, fa *frameAssembly) {
-	if len(fa.fragments) < int(fa.count) {
-		return
-	}
-	fa.finalized = true
-	if fa.intact(id) {
+	if fa.intact() {
 		pl.stats.FramesOK++
 	} else {
 		pl.stats.FramesCorrupted++
 	}
-	// The verdict is all that outlives the frame: keeping the payloads of
-	// every frame ever played grows the heap without bound.
-	fa.fragments = nil
+	pl.frames[p.Frame] = judged
+	fa.next, pl.free = pl.free, fa
+	return nil
 }
 
-// intact reassembles the complete frame and verifies its checksum.
-func (fa *frameAssembly) intact(id uint32) bool {
+// assembly returns an empty assembly for a frame of count fragments, a
+// recycled one when there is one.
+func (pl *Player) assembly(count int) *frameAssembly {
+	fa := pl.free
+	if fa == nil {
+		//safeadaptvet:allow hotpath -- the free list is empty only until as many assemblies exist as frames are ever open at once
+		fa = &frameAssembly{}
+	} else {
+		pl.free = fa.next
+	}
+	spans := slices.Grow(fa.spans[:0], count)[:count]
+	clear(spans)
+	*fa = frameAssembly{spans: spans, buf: fa.buf[:0]}
+	return fa
+}
+
+// intact verifies the complete frame's checksum — its first 8 bytes are
+// the FNV-64a of the rest — reading the fragments in index order where
+// they lie, in whatever order they arrived.
+func (fa *frameAssembly) intact() bool {
 	if fa.corrupted {
 		return false
 	}
-	payload := make([]byte, 0)
-	for i := uint16(0); i < fa.count; i++ {
-		frag, ok := fa.fragments[i]
-		if !ok {
-			return false
+	var want uint64
+	header, sum := 0, uint64(fnvOffset64)
+	for _, sp := range fa.spans {
+		frag := fa.buf[sp.off : sp.off+sp.n]
+		for ; header < 8 && len(frag) > 0; header++ {
+			want = want<<8 | uint64(frag[0])
+			frag = frag[1:]
 		}
-		payload = append(payload, frag...)
+		sum = fnv64a(sum, frag)
 	}
-	return Frame{ID: id, Payload: payload}.Verify() == nil
+	return header == 8 && sum == want
 }
 
 // Finalize counts still-incomplete frames as incomplete and returns the
@@ -110,15 +163,16 @@ func (fa *frameAssembly) intact(id uint32) bool {
 func (pl *Player) Finalize() Stats {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	for _, fa := range pl.frames {
-		if !fa.finalized {
-			fa.finalized = true
-			if fa.corrupted {
-				pl.stats.FramesCorrupted++
-			} else {
-				pl.stats.FramesIncomplete++
-			}
+	for id, fa := range pl.frames {
+		if fa == judged {
+			continue
 		}
+		if fa.corrupted {
+			pl.stats.FramesCorrupted++
+		} else {
+			pl.stats.FramesIncomplete++
+		}
+		pl.frames[id] = judged
 	}
 	return pl.stats
 }

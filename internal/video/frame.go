@@ -10,7 +10,6 @@ package video
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 )
 
 // Frame is one synthetic video frame: an identifier plus a payload whose
@@ -36,23 +35,31 @@ func GenerateFrame(id uint32, bodySize int) Frame {
 		x ^= x << 17
 		body[i] = byte(x)
 	}
-	h := fnv.New64a()
-	_, _ = h.Write(body)
 	payload := make([]byte, 8+bodySize)
-	binary.BigEndian.PutUint64(payload[:8], h.Sum64())
+	binary.BigEndian.PutUint64(payload[:8], fnv64a(fnvOffset64, body))
 	copy(payload[8:], body)
 	return Frame{ID: id, Payload: payload}
 }
+
+// fnv64a continues an FNV-1a hash (hash/fnv's New64a without the
+// interface) over b, so a body that arrives in pieces hashes without
+// being joined; start from fnvOffset64.
+func fnv64a(h uint64, b []byte) uint64 {
+	for _, x := range b {
+		h ^= uint64(x)
+		h *= 1099511628211
+	}
+	return h
+}
+
+const fnvOffset64 = 14695981039346656037
 
 // Verify checks the frame's embedded checksum.
 func (f Frame) Verify() error {
 	if len(f.Payload) < 8 {
 		return fmt.Errorf("video: frame %d payload too short", f.ID)
 	}
-	want := binary.BigEndian.Uint64(f.Payload[:8])
-	h := fnv.New64a()
-	_, _ = h.Write(f.Payload[8:])
-	if h.Sum64() != want {
+	if fnv64a(fnvOffset64, f.Payload[8:]) != binary.BigEndian.Uint64(f.Payload[:8]) {
 		return fmt.Errorf("video: frame %d checksum mismatch", f.ID)
 	}
 	return nil

@@ -2,8 +2,11 @@ package video
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metasocket"
@@ -15,9 +18,19 @@ type Server struct {
 	sock     *metasocket.SendSocket
 	fragSize int
 
-	mu         sync.Mutex
-	framesSent uint32
+	framesSent atomic.Uint32
+
+	// frags is SendFrame's packet slice, reused frame after frame. mu
+	// makes concurrent SendFrames take turns with it; it is held across
+	// the send, where they would queue on the socket anyway.
+	mu    sync.Mutex
+	frags []metasocket.Packet
 }
+
+// maxFragments is what a packet's 16-bit Count can describe.
+const maxFragments = 1<<16 - 1
+
+var errTooManyFragments = errors.New("needs more than 65535 fragments")
 
 // NewServer builds a server over the given send socket. fragSize is the
 // fragment payload size in bytes (the packetization granularity).
@@ -35,46 +48,42 @@ func NewServer(sock *metasocket.SendSocket, fragSize int) (*Server, error) {
 func (s *Server) Socket() *metasocket.SendSocket { return s.sock }
 
 // FramesSent returns how many frames the server has emitted.
-func (s *Server) FramesSent() uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.framesSent
-}
+func (s *Server) FramesSent() uint32 { return s.framesSent.Load() }
 
 // SendFrame packetizes and transmits one frame. Packets of a frame carry
 // the frame id and Index/Count fragmentation metadata. The whole frame
 // goes out as one batch, so the socket's local safe state falls on frame
 // boundaries — an adaptation can never split a frame mid-transmission.
+//
+// The fragments alias f.Payload, which is only read and only until
+// SendFrame returns: a payload is borrowed for the duration of the call
+// it is passed to; whoever keeps bytes past the call copies them.
+//
+//safeadaptvet:hotpath
 func (s *Server) SendFrame(f Frame) error {
-	n := (len(f.Payload) + s.fragSize - 1) / s.fragSize
-	if n == 0 {
-		n = 1
-	}
-	if n > 1<<16-1 {
-		return fmt.Errorf("video: frame %d needs %d fragments (max %d)", f.ID, n, 1<<16-1)
-	}
-	packets := make([]metasocket.Packet, 0, n)
-	for i := 0; i < n; i++ {
-		lo := i * s.fragSize
-		hi := lo + s.fragSize
-		if hi > len(f.Payload) {
-			hi = len(f.Payload)
+	n := max(1, (len(f.Payload)+s.fragSize-1)/s.fragSize)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	err := errTooManyFragments
+	if n <= maxFragments {
+		s.frags = slices.Grow(s.frags[:0], n)[:n]
+		for i := range s.frags {
+			lo := min(i*s.fragSize, len(f.Payload))
+			hi := min(lo+s.fragSize, len(f.Payload))
+			s.frags[i] = metasocket.Packet{
+				Frame:   f.ID,
+				Index:   uint16(i),
+				Count:   uint16(n),
+				Payload: f.Payload[lo:hi:hi],
+			}
 		}
-		frag := make([]byte, hi-lo)
-		copy(frag, f.Payload[lo:hi])
-		packets = append(packets, metasocket.Packet{
-			Frame:   f.ID,
-			Index:   uint16(i),
-			Count:   uint16(n),
-			Payload: frag,
-		})
+		err = s.sock.SendBatch(s.frags)
 	}
-	if err := s.sock.SendBatch(packets); err != nil {
+	if err != nil {
+		//safeadaptvet:allow hotpath -- error path: the frame was refused or the socket closed, the boxing happens after the hot path failed
 		return fmt.Errorf("video: frame %d: %w", f.ID, err)
 	}
-	s.mu.Lock()
-	s.framesSent++
-	s.mu.Unlock()
+	s.framesSent.Add(1)
 	return nil
 }
 

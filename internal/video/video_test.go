@@ -58,19 +58,8 @@ func TestPropertyFrameVerify(t *testing.T) {
 func TestPlayerReassembly(t *testing.T) {
 	pl := NewPlayer()
 	f := GenerateFrame(1, 1000)
-	// Fragment manually into 256-byte chunks, deliver out of order.
-	var frags []metasocket.Packet
-	frag := 256
-	n := (len(f.Payload) + frag - 1) / frag
-	for i := 0; i < n; i++ {
-		lo, hi := i*frag, (i+1)*frag
-		if hi > len(f.Payload) {
-			hi = len(f.Payload)
-		}
-		frags = append(frags, metasocket.Packet{
-			Frame: f.ID, Index: uint16(i), Count: uint16(n), Payload: f.Payload[lo:hi],
-		})
-	}
+	// 256-byte fragments, delivered out of order.
+	frags := fragment(f, 256)
 	for i := len(frags) - 1; i >= 0; i-- { // reverse order
 		if err := pl.Deliver(frags[i]); err != nil {
 			t.Fatal(err)
@@ -111,20 +100,9 @@ func TestPlayerCountsIncompleteFrames(t *testing.T) {
 func TestPlayerReleasesFinishedFrames(t *testing.T) {
 	const frames, frag = 20000, 256
 	pl := NewPlayer()
-	fragments := func(f Frame) []metasocket.Packet {
-		n := (len(f.Payload) + frag - 1) / frag
-		out := make([]metasocket.Packet, n)
-		for i := range out {
-			out[i] = metasocket.Packet{
-				Frame: f.ID, Index: uint16(i), Count: uint16(n),
-				Payload: f.Payload[i*frag : min((i+1)*frag, len(f.Payload))],
-			}
-		}
-		return out
-	}
 	packets := 0
 	for id := uint32(0); id < frames; id++ {
-		for _, p := range fragments(GenerateFrame(id, 600)) {
+		for _, p := range fragment(GenerateFrame(id, 600), frag) {
 			if err := pl.Deliver(p); err != nil {
 				t.Fatal(err)
 			}
@@ -132,12 +110,19 @@ func TestPlayerReleasesFinishedFrames(t *testing.T) {
 		}
 	}
 	for id, fa := range pl.frames {
-		if !fa.finalized || fa.fragments != nil {
-			t.Fatalf("frame %d: finalized=%v, %d fragments still held", id, fa.finalized, len(fa.fragments))
+		if fa != judged {
+			t.Fatalf("frame %d still holds an assembly (%d bytes) after its verdict", id, len(fa.buf))
 		}
 	}
+	assemblies := 0
+	for fa := pl.free; fa != nil; fa = fa.next {
+		assemblies++
+	}
+	if assemblies != 1 {
+		t.Errorf("%d assemblies on the free list after an in-order stream, want the one it reused throughout", assemblies)
+	}
 
-	late := fragments(GenerateFrame(7, 600))[1]
+	late := fragment(GenerateFrame(7, 600), frag)[1]
 	if err := pl.Deliver(late); err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +130,8 @@ func TestPlayerReleasesFinishedFrames(t *testing.T) {
 	if err := pl.Deliver(late); err != nil {
 		t.Fatal(err)
 	}
-	if pl.frames[7].fragments != nil {
-		t.Error("a late duplicate was stored into a finished frame")
+	if pl.frames[7] != judged {
+		t.Error("a late duplicate resurrected a finished frame")
 	}
 	want := Stats{FramesOK: frames, PacketsDelivered: packets + 2, PacketsUndecoded: 1}
 	if got := pl.Finalize(); got != want {
