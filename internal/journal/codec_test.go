@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"hash/crc32"
@@ -317,5 +318,23 @@ func TestFileAppendAllocs(t *testing.T) {
 	commit() // grow the buffer once
 	if perAppend := testing.AllocsPerRun(50, commit) / group; perAppend > 1 {
 		t.Fatalf("%.2f allocations per Append, want at most 1 amortised", perAppend)
+	}
+}
+
+// TestGoldenFrame pins record version 1 byte for byte: the frame of a
+// step-begin record with every field set is what every log and every
+// replication stream already written holds.
+func TestGoldenFrame(t *testing.T) {
+	const golden = "000000ebd86a9f7701808080808020070a737465702d626567696e060303413136030602443102443202000245320402453100030868616e6468656c64066c6170746f700673657276657203010673657276657200020868616e6468656c64066c6170746f700730313030313031073130313030313006726573756d650d636f6f7264696e61746f722d30030161000163073031303031303107313031303031300b726f6c6c6564206261636b4574696d656f75742077616974696e6720666f7220726573657420646f6e652028676f742031206f6620322920e2809420e2809c6e61c3af7665e2809d2062797465732000ff"
+	want, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := AppendFrame(nil, fullRecord()); !bytes.Equal(got, want) {
+		t.Fatalf("the record layout changed:\n got  %x\n want %x", got, want)
+	}
+	rec, n, err := DecodeFrame(want)
+	if err != nil || n != len(want) || !reflect.DeepEqual(rec, fullRecord()) {
+		t.Fatalf("golden frame decodes to %+v (%d of %d bytes, %v)", rec, n, len(want), err)
 	}
 }

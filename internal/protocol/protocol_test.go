@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/action"
+	"repro/internal/telemetry"
 )
 
 func sampleMessage() Message {
@@ -218,5 +220,165 @@ func TestPropertyFrameRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// jsonRoundTrip is the reference codec: the JSON encoding every frame body
+// was until the binary layout replaced it. A Message means what it reads
+// back as from here, and the wire codec is held to exactly that.
+func jsonRoundTrip(t testing.TB, msg Message) Message {
+	t.Helper()
+	body, err := json.Marshal(msg)
+	if err != nil {
+		t.Fatalf("reference encode: %v", err)
+	}
+	var out Message
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatalf("reference decode: %v", err)
+	}
+	return out
+}
+
+// wireRoundTrip sends msg through WriteFrame and ReadFrame.
+func wireRoundTrip(msg Message) (Message, error) {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, msg); err != nil {
+		return Message{}, err
+	}
+	return ReadFrame(&buf)
+}
+
+// normalise applies the one difference the wire codec is allowed against
+// the reference: an empty slice reads back nil.
+func normalise(m Message) Message {
+	m.Step = normaliseStep(m.Step)
+	if len(m.Agents) == 0 {
+		m.Agents = nil
+	}
+	if len(m.Batch) == 0 {
+		m.Batch = nil
+	} else {
+		batch := make([]Message, len(m.Batch))
+		for i, inner := range m.Batch {
+			batch[i] = normalise(inner)
+		}
+		m.Batch = batch
+	}
+	if m.Probe != nil {
+		p := *m.Probe
+		for _, sp := range []**Step{&p.Step, &p.LastDone} {
+			if *sp != nil {
+				s := normaliseStep(**sp)
+				*sp = &s
+			}
+		}
+		m.Probe = &p
+	}
+	if m.Report != nil {
+		r := *m.Report
+		if len(r.Agents) == 0 {
+			r.Agents = nil
+		}
+		if len(r.Slowest) == 0 {
+			r.Slowest = nil
+		}
+		m.Report = &r
+	}
+	return m
+}
+
+func normaliseStep(s Step) Step {
+	if len(s.Ops) == 0 {
+		s.Ops = nil
+	}
+	if len(s.Participants) == 0 {
+		s.Participants = nil
+	}
+	if len(s.ResetPhases) == 0 {
+		s.ResetPhases = nil
+	} else {
+		phases := make([][]string, len(s.ResetPhases))
+		for i, p := range s.ResetPhases {
+			if len(p) > 0 {
+				phases[i] = p
+			}
+		}
+		s.ResetPhases = phases
+	}
+	return s
+}
+
+// goldenStep is the step the golden frames share: two processes, two
+// reset phases, one replace.
+func goldenStep() Step {
+	return Step{
+		PathIndex: 2, Attempt: 5, ActionID: "A2",
+		Ops:          []action.Op{{Kind: action.Replace, Old: "D1", New: "D2"}, {Kind: action.Insert, New: "E2"}},
+		Participants: []string{"handheld", "server"},
+		ResetPhases:  [][]string{{"server"}, {"handheld"}},
+		FromVector:   "0100101", ToVector: "0101001",
+	}
+}
+
+// goldenMessages is one message per kind, in kind order, each carrying
+// every field its kind uses in the running system.
+func goldenMessages() []Message {
+	step := goldenStep()
+	echo := Step{PathIndex: 2, Attempt: 5, ActionID: "A2"}
+	done := Step{PathIndex: 1, Attempt: 4, ActionID: "A1", FromVector: "0100101", ToVector: "0100101"}
+	down := TraceContext{TraceID: "adapt-000017", SpanID: 9, Origin: ManagerName, Lamport: 41}
+	up := TraceContext{TraceID: "adapt-000017", Origin: "handheld", Lamport: 44}
+	var digest telemetry.Digest
+	digest.Nodes = 2
+	digest.Counters = map[string]int64{"agent.resets": 3, "agent.fenced": 0}
+	digest.Gauges = map[string]int64{"agent.state": 1}
+	return []Message{
+		{Type: MsgReset, From: ManagerName, To: "handheld", Step: step, Epoch: 3, Trace: down},
+		{Type: MsgResetDone, From: "coordinator-0", To: ManagerName, Step: echo, Epoch: 3, Trace: up, Agents: []string{"handheld", "server"}},
+		{Type: MsgResetFailed, From: "handheld", To: ManagerName, Step: echo, Epoch: 3, Trace: up, Error: "reset: timed out after 2s — “drain”"},
+		{Type: MsgAdaptDone, From: "handheld", To: ManagerName, Step: step, Epoch: 3, Trace: up},
+		{Type: MsgAdaptFailed, From: "server", To: ManagerName, Step: echo, Epoch: 3, Error: "in-action: no such component"},
+		{Type: MsgResume, From: ManagerName, To: "server", Step: step, Epoch: 3, Trace: down},
+		{Type: MsgResumeDone, From: "server", To: ManagerName, Step: step, Epoch: 3, Trace: up},
+		{Type: MsgRollback, From: ManagerName, To: "handheld", Step: step, Epoch: 1 << 40},
+		{Type: MsgRollbackDone, From: "handheld", To: ManagerName, Step: echo},
+		{Type: MsgHello, From: "coordinator-0", Agents: []string{"handheld", "server"}},
+		{Type: MsgHeartbeat, From: ManagerName, To: "handheld", Step: echo, Epoch: 3},
+		{Type: MsgProbe, From: ManagerName, To: "server", Step: step, Epoch: 4, Trace: down},
+		{Type: MsgProbeAck, From: "server", To: ManagerName, Step: echo, Epoch: 4, Trace: up,
+			Probe: &ProbeInfo{State: "adapted", Step: &step, LastDone: &done, AdaptDone: true}},
+		{Type: MsgBatch, From: ManagerName, To: "coordinator-0", Step: step, Epoch: 3, Trace: down, Batch: []Message{
+			{Type: MsgReset, From: ManagerName, To: "handheld", Epoch: 3, Trace: down},
+			{Type: MsgReset, From: ManagerName, To: "server", Epoch: 3, Trace: down},
+		}},
+		{Type: MsgMetricReport, From: "coordinator-0", To: ManagerName, Epoch: 3, Trace: up, Report: &MetricReport{
+			Interval: 12, Agents: []string{"handheld", "server"},
+			Slowest: []AgentLatency{{Agent: "server", Nanos: 2_400_000}, {Agent: "handheld", Nanos: 900_000}},
+			Digest:  digest,
+		}},
+	}
+}
+
+// TestGoldenFramePerKind: one message of every kind crosses the wire and
+// reads back as the reference codec reads it back.
+func TestGoldenFramePerKind(t *testing.T) {
+	msgs := goldenMessages()
+	if len(msgs) != int(MsgMetricReport) {
+		t.Fatalf("%d golden messages for %d kinds", len(msgs), int(MsgMetricReport))
+	}
+	for i, msg := range msgs {
+		if msg.Type != MsgType(i+1) {
+			t.Fatalf("golden message %d is a %s", i, msg.Type)
+		}
+		got, err := wireRoundTrip(msg)
+		if err != nil {
+			t.Fatalf("%s: %v", msg.Type, err)
+		}
+		if want := normalise(jsonRoundTrip(t, msg)); !reflect.DeepEqual(normalise(got), want) {
+			t.Errorf("%s read back as\n got  %+v\n want %+v", msg.Type, got, want)
+		}
+		if !reflect.DeepEqual(normalise(got), normalise(msg)) {
+			t.Errorf("%s changed on the wire:\n got  %+v\n sent %+v", msg.Type, got, msg)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -73,5 +74,25 @@ func TestCommitEncodeAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { buf, _ = appendFrame(buf[:0], fr) }); n != 0 {
 		t.Fatalf("encoding one commit allocates %.0f times, want 0", n)
+	}
+}
+
+// TestGoldenRecordsFrame pins the replication stream byte for byte: a
+// records frame is its scalar fields and then the journal's own frames, so
+// a standby of either build follows a leader of the other.
+func TestGoldenRecordsFrame(t *testing.T) {
+	const golden = "000000bf78ee8eb403000007f403000200000057f583bdda01290208737465702d656e6404060341313600020868616e6468656c6406736572766572020106736572766572010868616e6468656c6407303130303130310730313031313031000000000009636f6d706c657465640000000050c3bb3b99012a020a737465702d626567696e04060341313600020868616e6468656c6406736572766572020106736572766572010868616e6468656c640730313030313031073031303131303100000000000000"
+	want, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := frame{Type: frameRecords, Recs: commitBatch()[:2], Batch: 7, TTLMillis: 250}
+	got, err := appendFrame(nil, fr)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the stream layout changed (%v):\n got  %x\n want %x", err, got, want)
+	}
+	back, err := newFrameReader(bytes.NewReader(want)).read()
+	if err != nil || !reflect.DeepEqual(back, fr) {
+		t.Fatalf("golden frame reads back as %+v (%v)", back, err)
 	}
 }
