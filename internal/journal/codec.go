@@ -8,7 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 
-	"repro/internal/action"
+	"repro/internal/protocol"
 )
 
 // A record travels — in the journal file and, frame for frame, inside the
@@ -17,7 +17,8 @@ import (
 //	[4-byte big-endian body length][4-byte CRC32-IEEE of body][body]
 //
 // and the body is the record's fields in declaration order behind one
-// version byte: unsigned integers as uvarints, signed ones as zigzag
+// version byte, in the primitives the message frames use too
+// (protocol/wire.go): unsigned integers as uvarints, signed ones as zigzag
 // varints, a string as its uvarint length and bytes, a slice as its
 // uvarint count and elements. An empty slice and a nil one encode alike
 // and decode to nil.
@@ -64,43 +65,15 @@ func appendBody(b []byte, r Record) []byte {
 	b = append(b, recordVersion)
 	b = binary.AppendUvarint(b, r.Seq)
 	b = binary.AppendUvarint(b, r.Epoch)
-	b = appendString(b, string(r.Kind))
-	b = binary.AppendVarint(b, int64(r.Step.PathIndex))
-	b = binary.AppendVarint(b, int64(r.Step.Attempt))
-	b = appendString(b, r.Step.ActionID)
-	b = binary.AppendUvarint(b, uint64(len(r.Step.Ops)))
-	for _, op := range r.Step.Ops {
-		b = binary.AppendVarint(b, int64(op.Kind))
-		b = appendString(b, op.Old)
-		b = appendString(b, op.New)
-	}
-	b = appendStrings(b, r.Step.Participants)
-	b = binary.AppendUvarint(b, uint64(len(r.Step.ResetPhases)))
-	for _, phase := range r.Step.ResetPhases {
-		b = appendStrings(b, phase)
-	}
-	b = appendString(b, r.Step.FromVector)
-	b = appendString(b, r.Step.ToVector)
-	b = appendString(b, r.Wave)
-	b = appendString(b, r.Process)
-	b = appendStrings(b, r.Agents)
-	b = appendString(b, r.Source)
-	b = appendString(b, r.Target)
-	b = appendString(b, r.Outcome)
-	return appendString(b, r.Detail)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendStrings(b []byte, ss []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = appendString(b, s)
-	}
-	return b
+	b = protocol.AppendString(b, string(r.Kind))
+	b = protocol.AppendStep(b, &r.Step)
+	b = protocol.AppendString(b, r.Wave)
+	b = protocol.AppendString(b, r.Process)
+	b = protocol.AppendStrings(b, r.Agents)
+	b = protocol.AppendString(b, r.Source)
+	b = protocol.AppendString(b, r.Target)
+	b = protocol.AppendString(b, r.Outcome)
+	return protocol.AppendString(b, r.Detail)
 }
 
 // DecodeFrame decodes the frame at the head of buf and returns the record
@@ -108,7 +81,12 @@ func appendStrings(b []byte, ss []string) []byte {
 // with a complete, checksummed frame is an error (the valid log ends
 // here), as is a whole frame that is not a record of this version
 // (ErrUnknownVersion, ErrCorruptRecord).
-func DecodeFrame(buf []byte) (Record, int, error) {
+func DecodeFrame(buf []byte) (Record, int, error) { return DecodeFrameWith(nil, buf) }
+
+// DecodeFrameWith is DecodeFrame for a reader of many frames of one log: the
+// record's names and step are drawn from in, and shared with the records
+// decoded before it (protocol.Reader.Step states the rule).
+func DecodeFrameWith(in *protocol.Interner, buf []byte) (Record, int, error) {
 	if len(buf) < frameHeader {
 		return Record{}, 0, errTorn
 	}
@@ -119,7 +97,7 @@ func DecodeFrame(buf []byte) (Record, int, error) {
 	if n > len(buf)-frameHeader {
 		return Record{}, 0, errTorn
 	}
-	rec, err := decodeChecked(buf[frameHeader:frameHeader+n], binary.BigEndian.Uint32(buf[4:]))
+	rec, err := decodeChecked(buf[frameHeader:frameHeader+n], binary.BigEndian.Uint32(buf[4:]), in)
 	return rec, frameHeader + n, err
 }
 
@@ -132,20 +110,22 @@ func bodyLength(hdr []byte) (int, error) {
 	return int(n), nil
 }
 
-func decodeChecked(body []byte, sum uint32) (Record, error) {
+func decodeChecked(body []byte, sum uint32, in *protocol.Interner) (Record, error) {
 	if crc32.ChecksumIEEE(body) != sum {
 		return Record{}, errTorn
 	}
-	return decodeBody(body)
+	return decodeBody(body, in)
 }
 
-// Decoder reads framed records from a stream through one buffered reader
-// and one reused body buffer, so scanning a log is one pass with a read
-// system call per buffer, not two per record.
+// Decoder reads framed records from a stream through one buffered reader,
+// one reused body buffer and one Interner, so scanning a log is one pass
+// with a read system call per buffer, not two per record, and the records
+// of one step share it.
 type Decoder struct {
 	r    *bufio.Reader
 	hdr  [frameHeader]byte
 	body []byte
+	in   protocol.Interner
 	good int64
 }
 
@@ -167,14 +147,10 @@ func (d *Decoder) Next() (Record, error) {
 	if err != nil {
 		return Record{}, io.EOF
 	}
-	if cap(d.body) < n {
-		d.body = make([]byte, n)
-	}
-	d.body = d.body[:n]
-	if _, err := io.ReadFull(d.r, d.body); err != nil {
+	if d.body, err = protocol.ReadBody(d.r, d.body, n); err != nil {
 		return Record{}, endOfLog(err)
 	}
-	rec, err := decodeChecked(d.body, binary.BigEndian.Uint32(d.hdr[4:]))
+	rec, err := decodeChecked(d.body, binary.BigEndian.Uint32(d.hdr[4:]), &d.in)
 	if err != nil {
 		return Record{}, endOfLog(err)
 	}
@@ -214,102 +190,18 @@ func DecodeStream(r io.Reader) (recs []Record, good int64, err error) {
 	}
 }
 
-// bodyReader consumes a record body. The first malformed field sets bad
-// and every later read returns zero values, so decodeBody checks once.
-type bodyReader struct {
-	b   []byte
-	bad bool
-}
-
-func (r *bodyReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.bad = true
-		r.b = nil
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *bodyReader) int() int {
-	v, n := binary.Varint(r.b)
-	if n <= 0 || int64(int(v)) != v {
-		r.bad = true
-		r.b = nil
-		return 0
-	}
-	r.b = r.b[n:]
-	return int(v)
-}
-
-// count reads an element count. Every element occupies at least one byte,
-// so a count above the bytes left is malformed — which is also what keeps a
-// hostile count from sizing an allocation.
-func (r *bodyReader) count() int {
-	v := r.uvarint()
-	if v > uint64(len(r.b)) {
-		r.bad = true
-		r.b = nil
-		return 0
-	}
-	return int(v)
-}
-
-func (r *bodyReader) string() string {
-	n := r.count()
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-func (r *bodyReader) strings() []string {
-	n := r.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = r.string()
-	}
-	return out
-}
-
-func decodeBody(body []byte) (Record, error) {
+// decodeBody decodes a checksummed body, drawing on in when it is non-nil.
+func decodeBody(body []byte, in *protocol.Interner) (Record, error) {
 	if body[0] != recordVersion {
 		return Record{}, fmt.Errorf("%w %#x (a log in the older JSON layout?)", ErrUnknownVersion, body[0])
 	}
-	r := bodyReader{b: body[1:]}
-	var rec Record
-	rec.Seq = r.uvarint()
-	rec.Epoch = r.uvarint()
-	rec.Kind = Kind(r.string())
-	rec.Step.PathIndex = r.int()
-	rec.Step.Attempt = r.int()
-	rec.Step.ActionID = r.string()
-	if n := r.count(); n > 0 {
-		rec.Step.Ops = make([]action.Op, n)
-		for i := range rec.Step.Ops {
-			rec.Step.Ops[i] = action.Op{Kind: action.OpKind(r.int()), Old: r.string(), New: r.string()}
-		}
+	r := protocol.NewReader(body[1:], in)
+	rec := Record{
+		Seq: r.Uvarint(), Epoch: r.Uvarint(), Kind: Kind(r.Name()), Step: r.Step(),
+		Wave: r.Name(), Process: r.Name(), Agents: r.Names(),
+		Source: r.Name(), Target: r.Name(), Outcome: r.Name(), Detail: r.String(),
 	}
-	rec.Step.Participants = r.strings()
-	if n := r.count(); n > 0 {
-		rec.Step.ResetPhases = make([][]string, n)
-		for i := range rec.Step.ResetPhases {
-			rec.Step.ResetPhases[i] = r.strings()
-		}
-	}
-	rec.Step.FromVector = r.string()
-	rec.Step.ToVector = r.string()
-	rec.Wave = r.string()
-	rec.Process = r.string()
-	rec.Agents = r.strings()
-	rec.Source = r.string()
-	rec.Target = r.string()
-	rec.Outcome = r.string()
-	rec.Detail = r.string()
-	if r.bad || len(r.b) != 0 {
+	if r.Err() != nil {
 		return Record{}, ErrCorruptRecord
 	}
 	return rec, nil

@@ -116,7 +116,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		dec, err := decodeBody(data)
+		dec, err := decodeBody(data, nil)
 		if err != nil {
 			if !errors.Is(err, ErrUnknownVersion) && !errors.Is(err, ErrCorruptRecord) {
 				t.Fatalf("unexpected decode error %v", err)
@@ -147,7 +147,7 @@ func TestDecodeHostileCount(t *testing.T) {
 	before := ms.TotalAlloc
 	for at := firstCount; at < len(body); at++ {
 		hostile := append(append(append([]byte{}, body[:at]...), huge...), body[at+1:]...)
-		if _, err := decodeBody(hostile); !errors.Is(err, ErrCorruptRecord) {
+		if _, err := decodeBody(hostile, nil); !errors.Is(err, ErrCorruptRecord) {
 			t.Fatalf("count 2^60 at byte %d: %v, want ErrCorruptRecord", at, err)
 		}
 	}

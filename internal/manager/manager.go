@@ -258,6 +258,12 @@ type Manager struct {
 	// Accessed only from the Execute goroutine.
 	ackGroups []ackGroup
 
+	// wanted and got are await's two sets and deadline its timer, kept
+	// between awaits — an adaptation waits some fifteen times. Accessed only
+	// from the Execute goroutine.
+	wanted, got map[string]bool
+	deadline    *time.Timer
+
 	// jr mirrors opts.Journal; epoch is this incarnation's fencing epoch
 	// (0 when journalless), fixed at New and stamped on every send.
 	jr    journal.Journal
@@ -318,6 +324,9 @@ func New(ep transport.Endpoint, plan *planner.Planner, opts Options) (*Manager, 
 		state: StateRunning,
 		jr:    opts.Journal,
 		rng:   rand.New(rand.NewSource(seed)),
+
+		wanted: make(map[string]bool),
+		got:    make(map[string]bool),
 	}
 	if m.jr != nil {
 		// Adopt the next epoch after everything already in the log — this
@@ -405,7 +414,7 @@ func (m *Manager) backoff(ctx context.Context, try int) error {
 	if m.opts.Sleep != nil {
 		return m.opts.Sleep(ctx, d)
 	}
-	t := time.NewTimer(d)
+	t := m.timer(d)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
@@ -413,6 +422,14 @@ func (m *Manager) backoff(ctx context.Context, try int) error {
 	case <-t.C:
 		return nil
 	}
+}
+
+// timer arms the manager's one timer for d. Its users (await, backoff,
+// collectProbes) run one at a time on the Execute goroutine and stop it
+// when they return.
+func (m *Manager) timer(d time.Duration) *time.Timer {
+	m.deadline = transport.Rearm(m.deadline, d)
+	return m.deadline
 }
 
 // State returns the manager's current state.

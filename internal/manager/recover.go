@@ -3,7 +3,6 @@ package manager
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/journal"
 	"repro/internal/protocol"
@@ -428,7 +427,7 @@ func (m *Manager) collectProbes(step protocol.Step, infos map[string]*protocol.P
 		return
 	}
 
-	timer := time.NewTimer(m.opts.StepTimeout)
+	timer := m.timer(m.opts.StepTimeout)
 	defer timer.Stop()
 	for len(infos) < want {
 		select {

@@ -383,12 +383,16 @@ func (m *Manager) startHeartbeats(participants []string, step protocol.Step) fun
 // while the manager is still collecting "reset done" from slower agents —
 // so messages of the current step that are not the awaited type are
 // stashed and replayed by the next await rather than dropped.
+//
+// The returned set is the manager's own and is cleared by the next await:
+// callers read it (and journal it) before they wait again.
 func (m *Manager) await(ctx context.Context, from []string, step protocol.Step, want, failType protocol.MsgType, timeout time.Duration) (map[string]bool, string) {
-	wanted := make(map[string]bool, len(from))
+	wanted, got := m.wanted, m.got
+	clear(wanted)
+	clear(got)
 	for _, p := range from {
 		wanted[p] = true
 	}
-	got := make(map[string]bool, len(from))
 	// Aggregated coordinator acks consumed by this await are grouped here
 	// and journaled by the paired journalAcks call; groups a caller never
 	// journals (best-effort rollback waits) are discarded by the next
@@ -438,9 +442,9 @@ func (m *Manager) await(ctx context.Context, from []string, step protocol.Step, 
 		}
 	}
 
-	// Replay stashed messages first.
+	// Replay stashed messages first, keeping the rest in place.
 	var stashFail string
-	remaining := make([]protocol.Message, 0, len(m.stash))
+	remaining := m.stash[:0]
 	for _, msg := range m.stash {
 		if stashFail != "" {
 			remaining = append(remaining, msg)
@@ -487,7 +491,7 @@ func (m *Manager) await(ctx context.Context, from []string, step protocol.Step, 
 		return got, ""
 	}
 
-	deadline := time.NewTimer(timeout)
+	deadline := m.timer(timeout)
 	defer deadline.Stop()
 	for len(got) < len(wanted) {
 		select {

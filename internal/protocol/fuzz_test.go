@@ -112,11 +112,11 @@ func (g *msgGen) stepPtr() *Step {
 	return &s
 }
 
-// message draws every field whatever the kind; enclose bounds the nesting
-// of batch envelopes.
+// message draws every field whatever the kind, and kinds from beyond the
+// vocabulary too; enclose bounds the nesting of batch envelopes.
 func (g *msgGen) message(enclose bool) Message {
 	m := Message{
-		Type: MsgType(int(g.byte())%int(MsgMetricReport) + 1),
+		Type: MsgType(int8(g.byte())),
 		From: g.str(), To: g.str(), Step: g.step(), Error: g.str(), Epoch: g.uint64(),
 		Trace:  TraceContext{TraceID: g.str(), SpanID: g.uint64(), Origin: g.str(), Lamport: g.uint64()},
 		Agents: g.strs(),
@@ -157,6 +157,7 @@ func FuzzCodecMatchesJSON(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	f.Add([]byte("02270800212200807080708000001001X0")) // draws an empty envelope inside an envelope
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := msgGen{b: data}

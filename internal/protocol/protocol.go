@@ -1,17 +1,14 @@
 // Package protocol defines the message vocabulary exchanged between the
 // adaptation manager and the per-process adaptation agents (paper Sec. 4.3,
-// Figs. 1–2), and a length-prefixed JSON wire codec for transports that
-// need one.
+// Figs. 1–2), and the wire codec for transports that need one: a
+// length-prefixed binary frame whose layout is one table of fields per
+// message kind (codec.go), over primitives the journal and the replication
+// stream share (wire.go).
 package protocol
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
-	"sync"
 
 	"repro/internal/action"
 	"repro/internal/telemetry"
@@ -360,60 +357,3 @@ func (tc TraceContext) IsZero() bool { return tc == TraceContext{} }
 
 // ManagerName is the conventional endpoint name of the adaptation manager.
 const ManagerName = "manager"
-
-// frameBuffers recycles WriteFrame's encode buffers.
-var frameBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledFrame keeps the odd huge frame (a fleet-wide batch, a metric
-// rollup) from pinning its buffer in the pool.
-const maxPooledFrame = 64 << 10
-
-// WriteFrame writes msg to w as a 4-byte big-endian length followed by the
-// JSON encoding, in one Write: the body is encoded behind a reserved
-// prefix, so a TCP transport spends one system call and one segment on a
-// message, not two.
-func WriteFrame(w io.Writer, msg Message) error {
-	buf := frameBuffers.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledFrame {
-			frameBuffers.Put(buf)
-		}
-	}()
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0})
-	if err := json.NewEncoder(buf).Encode(msg); err != nil {
-		return fmt.Errorf("protocol: encode: %w", err)
-	}
-	buf.Truncate(buf.Len() - 1) // Encode's trailing newline is not part of the body
-	frame := buf.Bytes()
-	n := len(frame) - 4
-	if n > 1<<24 {
-		return fmt.Errorf("protocol: message too large (%d bytes)", n)
-	}
-	binary.BigEndian.PutUint32(frame, uint32(n))
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("protocol: write: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame reads one length-prefixed JSON message from r.
-func ReadFrame(r io.Reader) (Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Message{}, err // io.EOF passes through for clean shutdown
-	}
-	n := int(hdr[0])<<24 | int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
-	if n <= 0 || n > 1<<24 {
-		return Message{}, fmt.Errorf("protocol: invalid frame length %d", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Message{}, fmt.Errorf("protocol: read body: %w", err)
-	}
-	var msg Message
-	if err := json.Unmarshal(body, &msg); err != nil {
-		return Message{}, fmt.Errorf("protocol: decode: %w", err)
-	}
-	return msg, nil
-}

@@ -2,7 +2,9 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"io"
 	"reflect"
 	"strings"
@@ -64,11 +66,10 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 }
 
 // TestWriteFrameIsOneWrite: header and body reach the connection in one
-// Write — one system call and one TCP segment per message — with the body
-// byte for byte json.Marshal's, and the encode costs at most the one
-// allocation the two-write version already paid.
+// Write — one system call and one TCP segment per message — byte for byte
+// the golden frame, and the encode costs at most one allocation.
 func TestWriteFrameIsOneWrite(t *testing.T) {
-	msg := sampleMessage()
+	msg := goldenMessages()[0]
 	var w writeCounter
 	if err := WriteFrame(&w, msg); err != nil {
 		t.Fatal(err)
@@ -76,13 +77,8 @@ func TestWriteFrameIsOneWrite(t *testing.T) {
 	if w.writes != 1 {
 		t.Fatalf("one frame took %d writes", w.writes)
 	}
-	body, err := json.Marshal(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]byte{0, 0, byte(len(body) >> 8), byte(len(body))}, body...)
-	if !bytes.Equal(w.Bytes(), want) {
-		t.Fatalf("wire bytes changed:\n got  %q\n want %q", w.Bytes(), want)
+	if want := goldenFrame(t, msg.Type); !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("wire bytes changed:\n got  %x\n want %x", w.Bytes(), want)
 	}
 	if raceEnabled {
 		return
@@ -137,12 +133,14 @@ func TestReadFrameInvalidLength(t *testing.T) {
 	}
 }
 
+// TestReadFrameBadJSON: a body that opens like JSON — what a peer of the
+// older build sends — is refused by its first byte, as an unknown version.
 func TestReadFrameBadJSON(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0, 0, 0, 3})
 	buf.WriteString("{{{")
-	if _, err := ReadFrame(&buf); err == nil || !strings.Contains(err.Error(), "decode") {
-		t.Errorf("bad JSON should fail with decode error, got %v", err)
+	if _, err := ReadFrame(&buf); !errors.Is(err, ErrUnknownVersion) || !strings.Contains(err.Error(), "decode") {
+		t.Errorf("a JSON body should fail to decode with the version error, got %v", err)
 	}
 }
 
@@ -359,8 +357,38 @@ func goldenMessages() []Message {
 	}
 }
 
-// TestGoldenFramePerKind: one message of every kind crosses the wire and
-// reads back as the reference codec reads it back.
+// goldenFrames are the frames of goldenMessages, checked in: the wire
+// layout, version 1, byte for byte.
+var goldenFrames = map[MsgType]string{
+	MsgReset:        "000000720102076d616e616765720868616e6468656c64030c61646170742d30303030313709076d616e6167657229040a02413202060244310244320200024532020868616e6468656c6406736572766572020106736572766572010868616e6468656c640730313030313031073031303130303100",
+	MsgResetDone:    "0000004d01040d636f6f7264696e61746f722d30076d616e61676572030c61646170742d303030303137000868616e6468656c642c040a0241320000000000020868616e6468656c640673657276657200",
+	MsgResetFailed:  "0000006101060868616e6468656c64076d616e61676572030c61646170742d303030303137000868616e6468656c642c040a02413200000000002972657365743a2074696d6564206f757420616674657220327320e2809420e2809c647261696ee2809d00",
+	MsgAdaptDone:    "0000007401080868616e6468656c64076d616e61676572030c61646170742d303030303137000868616e6468656c642c040a02413202060244310244320200024532020868616e6468656c6406736572766572020106736572766572010868616e6468656c64073031303031303107303130313030310000",
+	MsgAdaptFailed:  "0000003e010a06736572766572076d616e616765720300000000040a02413200000000001c696e2d616374696f6e3a206e6f207375636820636f6d706f6e656e7400",
+	MsgResume:       "00000070010c076d616e6167657206736572766572030c61646170742d30303030313709076d616e6167657229040a02413202060244310244320200024532020868616e6468656c6406736572766572020106736572766572010868616e6468656c640730313030313031073031303130303100",
+	MsgResumeDone:   "00000072010e06736572766572076d616e61676572030c61646170742d303030303137000868616e6468656c642c040a02413202060244310244320200024532020868616e6468656c6406736572766572020106736572766572010868616e6468656c64073031303031303107303130313030310000",
+	MsgRollback:     "000000640110076d616e616765720868616e6468656c6480808080802000000000040a02413202060244310244320200024532020868616e6468656c6406736572766572020106736572766572010868616e6468656c640730313030313031073031303130303100",
+	MsgRollbackDone: "0000002401120868616e6468656c64076d616e616765720000000000040a02413200000000000000",
+	MsgHello:        "0000002801140d636f6f7264696e61746f722d30000000000000020868616e6468656c640673657276657200",
+	MsgHeartbeat:    "000000230116076d616e616765720868616e6468656c640300000000040a024132000000000000",
+	MsgProbe:        "000000700118076d616e6167657206736572766572040c61646170742d30303030313709076d616e6167657229040a02413202060244310244320200024532020868616e6468656c6406736572766572020106736572766572010868616e6468656c640730313030313031073031303130303100",
+	MsgProbeAck:     "0000009d011a06736572766572076d616e61676572040c61646170742d303030303137000868616e6468656c642c040a024132000000000001076164617074656407040a02413202060244310244320200024532020868616e6468656c6406736572766572020106736572766572010868616e6468656c640730313030313031073031303130303102080241310000000730313030313031073031303031303100",
+	MsgBatch:        "000000e6011c076d616e616765720d636f6f7264696e61746f722d30030c61646170742d30303030313709076d616e6167657229040a02413202060244310244320200024532020868616e6468656c6406736572766572020106736572766572010868616e6468656c640730313030313031073031303130303102000000340102076d616e616765720868616e6468656c64030c61646170742d30303030313709076d616e6167657229000000000000000000000000320102076d616e6167657206736572766572030c61646170742d30303030313709076d616e616765722900000000000000000000",
+	MsgMetricReport: "000000b3011e0d636f6f7264696e61746f722d30076d616e61676572030c61646170742d303030303137000868616e6468656c642c010c020868616e6468656c6406736572766572020673657276657280fca4020868616e6468656c64c0ee6d557b226e6f646573223a322c22636f756e74657273223a7b226167656e742e66656e636564223a302c226167656e742e726573657473223a337d2c22676175676573223a7b226167656e742e7374617465223a317d7d00",
+}
+
+func goldenFrame(t testing.TB, kind MsgType) []byte {
+	t.Helper()
+	frame, err := hex.DecodeString(goldenFrames[kind])
+	if err != nil || len(frame) == 0 {
+		t.Fatalf("no golden frame for %s (%v)", kind, err)
+	}
+	return frame
+}
+
+// TestGoldenFramePerKind: one message of every kind encodes to its checked-in
+// frame, and that frame reads back as the reference codec reads the message
+// back.
 func TestGoldenFramePerKind(t *testing.T) {
 	msgs := goldenMessages()
 	if len(msgs) != int(MsgMetricReport) {
@@ -370,7 +398,11 @@ func TestGoldenFramePerKind(t *testing.T) {
 		if msg.Type != MsgType(i+1) {
 			t.Fatalf("golden message %d is a %s", i, msg.Type)
 		}
-		got, err := wireRoundTrip(msg)
+		golden := goldenFrame(t, msg.Type)
+		if frame, err := appendFrame(nil, &msg, false); err != nil || !bytes.Equal(frame, golden) {
+			t.Errorf("%s: the wire layout changed (%v):\n got  %x\n want %x", msg.Type, err, frame, golden)
+		}
+		got, err := ReadFrame(bytes.NewReader(golden))
 		if err != nil {
 			t.Fatalf("%s: %v", msg.Type, err)
 		}

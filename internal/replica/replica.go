@@ -44,9 +44,11 @@ import (
 // (the explorer's deterministic standbys).
 type Sink interface {
 	// Commit delivers one committed batch and blocks until the standby
-	// has applied it durably. Returning an error detaches the sink: the
-	// leader drops it and continues, and the standby behind it loses hot
-	// takeover eligibility until it reattaches.
+	// has applied it durably. The slice is borrowed for the call — the Tee
+	// refills it with the next batch — so a sink that keeps records copies
+	// them. Returning an error detaches the sink: the leader drops it and
+	// continues, and the standby behind it loses hot takeover eligibility
+	// until it reattaches.
 	Commit(recs []journal.Record) error
 	// Detach tells the sink it has been dropped (ack deadline missed,
 	// journal closed). Best-effort; called once, after removal.
@@ -138,11 +140,11 @@ func (t *Tee) Sync() error {
 		// in-memory backend's mid-fsync fault does); drop our copy in
 		// lockstep so nothing undurable is ever replicated.
 		t.seq -= uint64(len(t.tail))
-		t.tail = nil
+		t.tail = t.tail[:0]
 		return err
 	}
 	batch := t.tail
-	t.tail = nil
+	t.tail = batch[:0] // refilled only after every Commit below has returned: t.mu is held throughout
 	if len(batch) == 0 || len(t.sinks) == 0 {
 		return nil
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/protocol"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -22,7 +23,8 @@ import (
 // dropped, never interpreted.
 //
 // A body is one type byte followed by every field of frame in declaration
-// order (strings and counts length-prefixed, integers as varints), and the
+// order (in protocol/wire.go's primitives: strings and counts
+// length-prefixed, integers as varints), and the
 // records of a snapshot or records frame travel as the journal's own
 // frames (journal.AppendFrame), each under its own checksum: what the
 // standby decodes is byte for byte what the leader's file holds.
@@ -68,11 +70,11 @@ const (
 func appendFrame(dst []byte, f frame) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, byte(f.Type))
-	dst = appendString(dst, f.Name)
+	dst = protocol.AppendString(dst, f.Name)
 	dst = binary.AppendVarint(dst, int64(f.Rank))
 	dst = binary.AppendUvarint(dst, f.Batch)
 	dst = binary.AppendVarint(dst, f.TTLMillis)
-	dst = appendString(dst, f.Reason)
+	dst = protocol.AppendString(dst, f.Reason)
 	dst = binary.AppendUvarint(dst, uint64(len(f.Recs)))
 	for _, rec := range f.Recs {
 		dst = journal.AppendFrame(dst, rec)
@@ -84,11 +86,6 @@ func appendFrame(dst []byte, f frame) ([]byte, error) {
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(body)))
 	binary.BigEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(body))
 	return dst, nil
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
 }
 
 // frameWriter sends frames down one connection, each encoded once into a
@@ -115,11 +112,14 @@ func (fw *frameWriter) write(f frame) (int, error) {
 }
 
 // frameReader reads frames from one connection through one buffered
-// reader and one reused body buffer.
+// reader, one reused body buffer and one Interner: the records of a round
+// repeat a handful of names and one step, which the standby materialises
+// once.
 type frameReader struct {
 	r    *bufio.Reader
 	hdr  [frameHeader]byte
 	body []byte
+	in   protocol.Interner
 }
 
 func newFrameReader(r io.Reader) *frameReader {
@@ -136,89 +136,41 @@ func (fr *frameReader) read() (frame, error) {
 	if n == 0 || n > maxFrameBody {
 		return frame{}, fmt.Errorf("replica: invalid frame length %d", n)
 	}
-	if uint32(cap(fr.body)) < n {
-		fr.body = make([]byte, n)
-	}
-	fr.body = fr.body[:n]
-	if _, err := io.ReadFull(fr.r, fr.body); err != nil {
+	var err error
+	if fr.body, err = protocol.ReadBody(fr.r, fr.body, int(n)); err != nil {
 		return frame{}, fmt.Errorf("replica: read body: %w", err)
 	}
 	if crc32.ChecksumIEEE(fr.body) != sum {
 		return frame{}, fmt.Errorf("replica: frame checksum mismatch")
 	}
-	return decodeFrame(fr.body)
+	return decodeFrame(fr.body, &fr.in)
 }
 
 // decodeFrame decodes a checksummed frame body. Nothing it returns
 // aliases body.
-func decodeFrame(body []byte) (frame, error) {
-	d := fieldReader{b: body[1:]}
-	f := frame{Type: frameType(body[0])}
-	f.Name = d.string()
-	f.Rank = int(d.varint())
-	f.Batch = d.uvarint()
-	f.TTLMillis = d.varint()
-	f.Reason = d.string()
+func decodeFrame(body []byte, in *protocol.Interner) (frame, error) {
+	d := protocol.NewReader(body[1:], in)
+	f := frame{
+		Type: frameType(body[0]), Name: d.String(), Rank: int(d.Varint()),
+		Batch: d.Uvarint(), TTLMillis: d.Varint(), Reason: d.String(),
+	}
 	// A record's frame is at least its header, which keeps a hostile
 	// count from sizing the allocation.
-	if n := d.uvarint(); n > uint64(len(d.b)/frameHeader) {
-		d.bad = true
-	} else if n > 0 {
+	if n := d.Count(frameHeader); n > 0 {
 		f.Recs = make([]journal.Record, n)
 	}
 	for i := range f.Recs {
-		rec, n, err := journal.DecodeFrame(d.b)
+		rec, n, err := journal.DecodeFrameWith(in, d.Rest())
 		if err != nil {
 			return frame{}, fmt.Errorf("replica: record %d of %d: %w", i+1, len(f.Recs), err)
 		}
 		f.Recs[i] = rec
-		d.b = d.b[n:]
+		d.Skip(n)
 	}
-	if d.bad || len(d.b) != 0 {
+	if d.Err() != nil {
 		return frame{}, fmt.Errorf("replica: malformed %d-byte frame body", len(body))
 	}
 	return f, nil
-}
-
-// fieldReader consumes a frame body's scalar fields. The first malformed
-// one sets bad and every later read returns zero, so decodeFrame checks
-// once.
-type fieldReader struct {
-	b   []byte
-	bad bool
-}
-
-func (d *fieldReader) consumed(n int) {
-	if n <= 0 {
-		d.bad = true
-		d.b = nil
-		return
-	}
-	d.b = d.b[n:]
-}
-
-func (d *fieldReader) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	d.consumed(n)
-	return v
-}
-
-func (d *fieldReader) varint() int64 {
-	v, n := binary.Varint(d.b)
-	d.consumed(n)
-	return v
-}
-
-func (d *fieldReader) string() string {
-	n := d.uvarint()
-	if n > uint64(len(d.b)) {
-		d.bad = true
-		d.b = nil
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
 }
 
 // LeaderOptions configures the leader's replication listener.
@@ -413,7 +365,9 @@ type tcpSink struct {
 	tel     *telemetry.Registry
 	clock   transport.Clock
 
-	batch uint64
+	// Commit's own, under the Tee's lock.
+	batch    uint64
+	deadline *time.Timer
 }
 
 // write sends one frame under the write serializer.
@@ -432,8 +386,8 @@ func (s *tcpSink) Commit(recs []journal.Record) error {
 		return fmt.Errorf("replica: standby %q: %w", s.name, err)
 	}
 	s.tel.Gauge("replica.lag_bytes").Set(int64(n))
-	deadline := time.NewTimer(s.timeout)
-	defer deadline.Stop()
+	s.deadline = transport.Rearm(s.deadline, s.timeout)
+	defer s.deadline.Stop()
 	for {
 		select {
 		case ack := <-s.acks:
@@ -443,7 +397,7 @@ func (s *tcpSink) Commit(recs []journal.Record) error {
 			s.tel.Gauge("replica.lag_bytes").Set(0)
 			s.tel.Histogram("replica.commit.latency").Observe(s.clock.Now().Sub(start))
 			return nil
-		case <-deadline.C:
+		case <-s.deadline.C:
 			return fmt.Errorf("replica: standby %q missed ack deadline %v", s.name, s.timeout)
 		}
 	}

@@ -3,7 +3,10 @@ package replica
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
+	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/journal"
@@ -94,5 +97,61 @@ func TestGoldenRecordsFrame(t *testing.T) {
 	back, err := newFrameReader(bytes.NewReader(want)).read()
 	if err != nil || !reflect.DeepEqual(back, fr) {
 		t.Fatalf("golden frame reads back as %+v (%v)", back, err)
+	}
+}
+
+// repeating is a connection that delivers one run of frames for ever.
+type repeating struct {
+	frames []byte
+	at     int
+}
+
+func (r *repeating) Read(p []byte) (int, error) {
+	if r.at == len(r.frames) {
+		r.at = 0
+	}
+	n := copy(p, r.frames[r.at:])
+	r.at += n
+	return n, nil
+}
+
+// TestReadBatchAllocs pins the standby's per-commit decode: the records of
+// a round repeat a handful of names and one step, so an eight-record batch
+// costs the frame's record slice and little else — at most two allocations
+// a record, where it was thirteen.
+func TestReadBatchAllocs(t *testing.T) {
+	recs := append(commitBatch(), commitBatch()...)
+	raw, err := appendFrame(nil, frame{Type: frameRecords, Recs: recs, Batch: 9, TTLMillis: 30000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newFrameReader(&repeating{frames: raw})
+	read := func() {
+		if got, err := r.read(); err != nil || len(got.Recs) != len(recs) {
+			t.Fatalf("read %d records, %v", len(got.Recs), err)
+		}
+	}
+	read()
+	if n := testing.AllocsPerRun(100, read); n > float64(2*len(recs)) {
+		t.Fatalf("reading a batch of %d records allocates %.0f times, want at most %d", len(recs), n, 2*len(recs))
+	} else {
+		t.Logf("%.0f allocations for %d records", n, len(recs))
+	}
+}
+
+// TestReadGrowsWithTheBytesThatArrive: the replication port is as open as
+// the manager's. A header announcing sixteen megabytes with ten bytes
+// behind it costs a few kilobytes and the truncated-body error.
+func TestReadGrowsWithTheBytesThatArrive(t *testing.T) {
+	stream := append([]byte{0x01, 0x00, 0x00, 0x00, 0, 0, 0, 0}, make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := newFrameReader(bytes.NewReader(stream)).read()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("want the truncated-body error, got %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 128<<10 {
+		t.Fatalf("a 16 MiB header with 10 bytes behind it allocated %d bytes", grew)
 	}
 }

@@ -25,6 +25,23 @@ func (systemClock) Now() time.Time { return time.Now() }
 // be injected.
 var SystemClock Clock = systemClock{}
 
+// Rearm arms t — the one timer of a loop that waits again and again, nil the
+// first time — for d and returns it. The caller has stopped it or seen it
+// fire; its channel may still hold that tick, hence the drain.
+func Rearm(t *time.Timer, d time.Duration) *time.Timer {
+	if t == nil {
+		return time.NewTimer(d)
+	}
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
+	return t
+}
+
 // RecvStatus reports how a SyncEndpoint.Recv call ended.
 type RecvStatus int
 

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -260,22 +262,16 @@ func (m *MuxManager) WaitForAgents(timeout time.Duration, names ...string) error
 			m.mu.Unlock()
 			return ErrClosed
 		}
-		missing := ""
-		for _, n := range names {
-			if _, ok := m.routes[n]; !ok {
-				missing = n
-				break
-			}
-		}
+		missing := slices.IndexFunc(names, func(n string) bool { return m.routes[n] == nil })
 		pulse := m.regPulse
 		m.mu.Unlock()
-		if missing == "" {
+		if missing < 0 {
 			return nil
 		}
 		select {
 		case <-pulse: // a registration (or close) happened; re-check
 		case <-timer.C:
-			return fmt.Errorf("transport: endpoint %q did not register within %v", missing, timeout)
+			return fmt.Errorf("transport: endpoint %q did not register within %v", names[missing], timeout)
 		}
 	}
 }
@@ -360,15 +356,11 @@ func (m *MuxManager) serveConn(conn net.Conn) {
 		m.mu.Unlock()
 	}()
 
-	hello, err := protocol.ReadFrame(conn)
-	if err != nil || hello.Type != protocol.MsgHello || hello.From == "" {
-		return
-	}
-	allowed := map[string]bool{hello.From: true}
-	for _, c := range hello.Agents {
-		allowed[c] = true
-	}
-	m.register(link, hello.From, hello.Agents)
+	// One decoder for the connection's life: frames arrive through one
+	// buffer (a read system call per burst, not two per frame) and repeat a
+	// handful of names and one step per round, which it decodes once.
+	dec := protocol.NewDecoder(bufio.NewReader(conn))
+	allowed := make(map[string]bool)
 
 	// deliver pushes one attributed message to the hub inbox.
 	deliver := func(msg protocol.Message) {
@@ -392,13 +384,13 @@ func (m *MuxManager) serveConn(conn net.Conn) {
 	}
 
 	for {
-		msg, err := protocol.ReadFrame(conn)
+		msg, err := dec.Next()
 		if err != nil {
 			break
 		}
 		if msg.Type == protocol.MsgHello && msg.From != "" {
-			// Incremental registration: another logical endpoint (or an
-			// updated coverage set) joins the same conn.
+			// Registration: a logical endpoint (or an updated coverage
+			// set) joins the conn, at any time.
 			allowed[msg.From] = true
 			for _, c := range msg.Agents {
 				allowed[c] = true
@@ -409,7 +401,10 @@ func (m *MuxManager) serveConn(conn net.Conn) {
 		m.mu.Lock()
 		closed := m.closed
 		m.mu.Unlock()
-		if closed {
+		if closed || len(allowed) == 0 {
+			// A first frame that is not a hello of this wire version — a
+			// peer of the JSON build fails to decode above — ends the
+			// connection with no route touched.
 			break
 		}
 		if msg.Type == protocol.MsgBatch && (msg.To == "" || msg.To == m.name) {
@@ -614,6 +609,7 @@ func (c *MuxClient) Close() error {
 // which manager incarnation's messages still matter.
 func (c *MuxClient) run(conn net.Conn) {
 	defer c.wg.Done()
+	dec := protocol.NewDecoder(bufio.NewReader(conn)) // one per connection, as on the hub
 	for {
 		if conn == nil {
 			select {
@@ -630,9 +626,10 @@ func (c *MuxClient) run(conn net.Conn) {
 				continue
 			}
 			conn = nc
+			dec = protocol.NewDecoder(bufio.NewReader(conn))
 			c.tel.Load().Counter("transport.tcp.reconnects").Inc()
 		}
-		msg, err := protocol.ReadFrame(conn)
+		msg, err := dec.Next()
 		if err != nil {
 			_ = conn.Close()
 			c.mu.Lock()
@@ -717,28 +714,18 @@ func (c *MuxClient) route(msg protocol.Message) {
 	c.mu.Lock()
 	ep := c.eps[msg.To]
 	c.mu.Unlock()
-	if ep != nil {
+	switch {
+	case ep != nil:
 		c.push(ep, msg)
-		return
-	}
-	if msg.Type == protocol.MsgBatch {
+	case msg.Type == protocol.MsgBatch:
 		for _, inner := range protocol.UnpackBatch(msg) {
-			c.mu.Lock()
-			ep := c.eps[inner.To]
-			c.mu.Unlock()
-			if ep == nil {
-				tel := c.tel.Load()
-				tel.Counter("transport.tcp.unrouted_drops").Inc()
-				noteDrop(tel, inner, "no local endpoint")
-				continue
-			}
-			c.push(ep, inner)
+			c.route(inner) // never an envelope with contents: the codec refuses nesting
 		}
-		return
+	default:
+		tel := c.tel.Load()
+		tel.Counter("transport.tcp.unrouted_drops").Inc()
+		noteDrop(tel, msg, "no local endpoint")
 	}
-	tel := c.tel.Load()
-	tel.Counter("transport.tcp.unrouted_drops").Inc()
-	noteDrop(tel, msg, "no local endpoint")
 }
 
 func (c *MuxClient) push(ep *MuxEndpoint, msg protocol.Message) {
@@ -829,12 +816,7 @@ func (e *MuxEndpoint) Close() error {
 	if e.c.eps[e.name] == e {
 		delete(e.c.eps, e.name)
 	}
-	for i, ep := range e.c.order {
-		if ep == e {
-			e.c.order = append(e.c.order[:i], e.c.order[i+1:]...)
-			break
-		}
-	}
+	e.c.order = slices.DeleteFunc(e.c.order, func(ep *MuxEndpoint) bool { return ep == e })
 	e.c.mu.Unlock()
 	e.closeInbox()
 	return nil

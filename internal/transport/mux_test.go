@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"bytes"
+	"errors"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -568,5 +571,54 @@ func TestMuxRedialBufferBounded(t *testing.T) {
 	}
 	if err := a.Send(protocol.Message{Type: protocol.MsgProbeAck, To: "manager"}); err == nil {
 		t.Fatal("send past the buffer bound should fail")
+	}
+}
+
+// TestMuxJSONPeerRefused: a peer of the build that framed JSON sends its
+// hello — under a name a current peer holds — and is refused by the first
+// byte of the body: the hub drops the connection and touches no route, so
+// the holder of the name keeps receiving. Mixed versions do not talk; they
+// do not corrupt each other either.
+func TestMuxJSONPeerRefused(t *testing.T) {
+	hub := tcpHub(t)
+	tel := telemetry.NewRegistry()
+	hub.SetTelemetry(tel)
+	current, err := DialReconnectingTCP("handheld", NewAddrRing(hub.Addr()).Next, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer current.Close()
+	if err := hub.WaitForAgents(2*time.Second, "handheld"); err != nil {
+		t.Fatal(err)
+	}
+
+	body := `{"type":10,"from":"handheld","to":"","step":{"pathIndex":0,"attempt":0,"actionID":"","ops":null,"participants":null,"fromVector":"","toVector":""},"trace":{}}`
+	old := append([]byte{0, 0, 0, byte(len(body))}, body...)
+	if _, err := protocol.ReadFrame(bytes.NewReader(old)); !errors.Is(err, protocol.ErrUnknownVersion) {
+		t.Fatalf("a JSON hello decodes as %v, want the version error", err)
+	}
+	conn, err := net.Dial("tcp", hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(old); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the hub kept a JSON peer's connection open (read %d bytes, %v)", n, err)
+	}
+
+	if err := hub.Send(protocol.Message{Type: protocol.MsgProbe, To: "handheld"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case msg := <-current.Inbox():
+		if msg.Type != protocol.MsgProbe {
+			t.Fatalf("got %+v", msg)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the name's holder lost its route to a refused connection")
 	}
 }

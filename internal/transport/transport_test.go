@@ -107,3 +107,25 @@ func TestEndpointClose(t *testing.T) {
 		t.Errorf("reuse name after close: %v", err)
 	}
 }
+
+// TestRearm: a re-armed timer carries no tick over from the deadline that
+// fired before — the waiter that never drained it must not time out at once.
+func TestRearm(t *testing.T) {
+	timer := Rearm(nil, time.Millisecond)
+	time.Sleep(20 * time.Millisecond) // fired; the tick sits in the channel
+	if again := Rearm(timer, time.Hour); again != timer {
+		t.Fatal("Rearm made a second timer")
+	}
+	select {
+	case <-timer.C:
+		t.Fatal("the earlier deadline's tick survived the re-arm")
+	default:
+	}
+	timer.Stop()
+	Rearm(timer, time.Millisecond)
+	select {
+	case <-timer.C:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a re-armed timer never fired")
+	}
+}
