@@ -13,14 +13,18 @@ import (
 // variant, loss) keeps the number of datagrams on the wire and in the
 // hand-off queues different at every drain. A drain that let a reset
 // through one datagram early would decode it with the wrong chain: the
-// players would count a corrupted frame or an undecoded packet.
+// players would count a corrupted frame or an undecoded packet. The
+// third variant doubles the rate: at 2,000 frames/s the wire is never
+// empty between two steps of the MAP.
 func TestSwapStress(t *testing.T) {
 	const episodes = 100
 	variants := map[string]struct {
-		loss float64
+		loss     float64
+		interval time.Duration
 	}{
-		"jitter":       {0},
-		"jitter+lossy": {0.05},
+		"jitter":       {0, time.Millisecond},
+		"jitter+lossy": {0.05, time.Millisecond},
+		"jitter+2kfps": {0, 500 * time.Microsecond},
 	}
 	for name, v := range variants {
 		v := v
@@ -30,7 +34,7 @@ func TestSwapStress(t *testing.T) {
 				res, err := Run(SafeMAP{}, ExperimentOptions{
 					Frames:     60,
 					BodySize:   512,
-					Interval:   time.Millisecond,
+					Interval:   v.interval,
 					AdaptAfter: 10 + ep%25,
 					Seed:       int64(1000 + ep),
 					Handheld:   netsim.LinkProfile{Latency: 3 * time.Millisecond, Jitter: 2 * time.Millisecond, LossRate: v.loss},
