@@ -128,9 +128,10 @@ func TestClosedLoopMonitorTriggeredAdaptation(t *testing.T) {
 	}
 
 	// The data plane's blackout is on record: every receiver reset drained
-	// its link before blocking (nothing was owed to the socket when it
-	// blocked), and the time in the drain and the time each socket was
-	// held blocked were measured.
+	// its link before blocking (nothing sent before the drain began was
+	// still owed to the socket when it blocked — the server streams through
+	// the client-only steps), and the time in the drain and the time each
+	// socket was held blocked were measured.
 	if got := tel.Gauge("metasocket.recv.pending_at_block").Value(); got != 0 {
 		t.Errorf("metasocket.recv.pending_at_block = %d after drained resets, want 0", got)
 	}

@@ -63,6 +63,7 @@ import (
 	"repro/internal/metasocket"
 	"repro/internal/paper"
 	"repro/internal/planner"
+	"repro/internal/protocol"
 	"repro/internal/rtnet"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -243,6 +244,23 @@ func runManager(listen string, adaptAfter int, tel *telemetry.Registry) error {
 	return nil
 }
 
+// pausingSender blocks the server in every step it takes part in, also
+// the ones that change nothing on it and would let it stream on. A kernel
+// cannot say what it still holds, so a receiver over real UDP drains by
+// waiting for its socket to fall quiet (rtnet.Receiver.Owed), and a socket
+// the sender keeps writing to never does.
+type pausingSender struct {
+	*adapters.SocketProcess
+	sock *metasocket.SendSocket
+}
+
+func (p pausingSender) Reset(ctx context.Context, step protocol.Step) error {
+	if err := p.SocketProcess.Reset(ctx, step); err != nil {
+		return err
+	}
+	return p.sock.RequestBlock(ctx)
+}
+
 func runServer(managerAddr, peerList string, frames int, tel *telemetry.Registry) error {
 	if managerAddr == "" || peerList == "" {
 		return fmt.Errorf("server needs -manager and -peers")
@@ -270,7 +288,7 @@ func runServer(managerAddr, peerList string, frames int, tel *telemetry.Registry
 	}
 
 	ag, closeAgent, err := startAgent(paper.ProcessServer, managerAddr,
-		adapters.NewSendProcess(paper.ProcessServer, sendSock, factory), tel)
+		pausingSender{adapters.NewSendProcess(paper.ProcessServer, sendSock, factory), sendSock}, tel)
 	if err != nil {
 		return err
 	}

@@ -47,6 +47,9 @@ type SocketProcess struct {
 	// an earlier phase (see Reset). Receiving sockets use it to realize
 	// their share of the global safe condition.
 	drain func(ctx context.Context) error
+	// bystander is set by the pre-action of a step that has no operation
+	// for this process (see Reset).
+	bystander bool
 
 	// staged holds filters instantiated by the pre-action, keyed by
 	// component name.
@@ -61,13 +64,13 @@ func NewSendProcess(process string, sock *metasocket.SendSocket, factory FilterF
 }
 
 // NewRecvProcess adapts a receiving MetaSocket for the named process. On
-// multi-phase steps where an upstream process was quiesced first, Reset
-// waits for the link to drain — the paper's global safe condition ("the
-// receiver has received all the datagram packets that the sender has
-// sent") — before blocking at a packet boundary. On single-phase steps
-// (e.g. replacing a bypass-compatible decoder while the sender keeps
-// streaming, like the case study's step A2) only the local packet
-// boundary is required, exactly as the paper argues in Sec. 5.2.
+// multi-phase steps where an upstream process took its turn first, Reset
+// waits until what that process had sent by then has landed — the paper's
+// global safe condition ("the receiver has received all the datagram
+// packets that the sender has sent") — before blocking at a packet
+// boundary. On single-phase steps (e.g. replacing a bypass-compatible
+// decoder while the sender keeps streaming, like the case study's step A2)
+// only the local packet boundary is required, as Sec. 5.2 argues.
 func NewRecvProcess(process string, sock *metasocket.RecvSocket, factory FilterFactory) *SocketProcess {
 	return &SocketProcess{
 		process: process,
@@ -80,9 +83,9 @@ func NewRecvProcess(process string, sock *metasocket.RecvSocket, factory FilterF
 var _ agent.LocalProcess = (*SocketProcess)(nil)
 
 // needsDrain reports whether this process appears in a non-first reset
-// phase of the step — i.e. some upstream process was quiesced before us,
-// so waiting for the link to drain terminates and establishes the global
-// safe condition.
+// phase of the step — i.e. some upstream process took its turn before us,
+// blocked or left alone by the step, so waiting for everything it had sent
+// by then terminates and establishes the global safe condition.
 func (sp *SocketProcess) needsDrain(step protocol.Step) bool {
 	if sp.drain == nil || len(step.ResetPhases) < 2 {
 		return false
@@ -98,6 +101,7 @@ func (sp *SocketProcess) needsDrain(step protocol.Step) bool {
 // PreAction instantiates the filters for components this step inserts,
 // without touching the running chain.
 func (sp *SocketProcess) PreAction(_ protocol.Step, ops []action.Op) error {
+	sp.bystander = len(ops) == 0
 	sp.staged = make(map[string]metasocket.Filter)
 	for _, op := range ops {
 		if op.New == "" {
@@ -113,12 +117,20 @@ func (sp *SocketProcess) PreAction(_ protocol.Step, ops []action.Op) error {
 }
 
 // Reset drives the socket to its safe state: drain when downstream in a
-// multi-phase step, then block at a packet boundary.
+// multi-phase step, then block at a packet boundary. A bystander — the
+// phase policy conscripted it into a step that changes nothing here —
+// drains too (a relay must have passed on what was sent before the step
+// when its successors take their turn) and is not blocked: what it goes on
+// sending both sides of the step decode. Resume and Rollback release a
+// socket whether or not it was blocked.
 func (sp *SocketProcess) Reset(ctx context.Context, step protocol.Step) error {
 	if sp.needsDrain(step) {
 		if err := sp.drain(ctx); err != nil {
 			return err
 		}
+	}
+	if sp.bystander {
+		return nil
 	}
 	return sp.host.RequestBlock(ctx)
 }

@@ -234,6 +234,63 @@ func TestRecvNeedsDrainPolicy(t *testing.T) {
 	}
 }
 
+// TestBystanderDrainsAndIsNotBlocked: a process the step has no operation
+// for takes part in the handshake without being held: a sender is left
+// streaming, a downstream receiver still drains (a relay's successors rely
+// on it) and is not blocked either; resume and rollback accept a socket
+// that was never blocked. The next step with an operation blocks as ever.
+func TestBystanderDrainsAndIsNotBlocked(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+	defer cancel()
+
+	send, sendSock := newSendProc(t)
+	clientsOnly := step("A16", nil, [][]string{{"server"}, {"laptop"}})
+	if err := send.PreAction(clientsOnly, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := send.Reset(ctx, clientsOnly); err != nil {
+		t.Fatal(err)
+	}
+	if sendSock.Blocked() {
+		t.Error("a bystander sender must keep streaming")
+	}
+	if err := send.Resume(clientsOnly); err != nil {
+		t.Fatal(err)
+	}
+	ops := []action.Op{{Kind: action.Replace, Old: "E1", New: "E2"}}
+	if err := send.PreAction(step("A1", ops, nil), ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := send.Reset(ctx, step("A1", ops, nil)); err != nil || !sendSock.Blocked() {
+		t.Errorf("a step with an operation must block: err %v, blocked %v", err, sendSock.Blocked())
+	}
+
+	var link owedLink
+	recvSock, err := metasocket.NewRecvSocket(func(metasocket.Packet) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	recvSock.AttachLink(&link)
+	recv := NewRecvProcess("relay", recvSock, factory(t))
+	downstream := step("A16", nil, [][]string{{"server"}, {"relay"}, {"laptop"}})
+	if err := recv.PreAction(downstream, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := recv.Reset(ctx, downstream); err != nil {
+		t.Fatal(err)
+	}
+	if recvSock.Blocked() {
+		t.Error("a bystander receiver must not be blocked")
+	}
+	if err := recv.Rollback(downstream, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	link.owed.Store(3) // nothing will ever process these
+	if err := recv.Reset(ctx, downstream); err == nil {
+		t.Error("a bystander downstream of a quiesced process must still drain: Reset should time out on an owing link")
+	}
+}
+
 func TestSendSocketImplementsFilterHost(t *testing.T) {
 	// Compile-time assertions live in the package; this exercises the
 	// interface dynamically for both directions.

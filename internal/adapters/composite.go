@@ -98,6 +98,8 @@ func (cp *CompositeProcess) PreAction(step protocol.Step, ops []action.Op) error
 		if err := part.PreAction(step, routed[i]); err != nil {
 			return err
 		}
+		// The process is the bystander: changing one socket blocks them all.
+		part.bystander = len(ops) == 0
 	}
 	return nil
 }

@@ -94,6 +94,43 @@ func TestCompositeLifecycle(t *testing.T) {
 	}
 }
 
+// TestCompositeBystander: the process is the bystander, not the socket — a
+// step with no operation here blocks neither socket, one that changes the
+// send side alone still blocks both, upstream first.
+func TestCompositeBystander(t *testing.T) {
+	rig := newRelayRig(t)
+	step, _ := compoundStep()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+
+	if err := rig.cp.PreAction(step, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.cp.Reset(ctx, step); err != nil {
+		t.Fatal(err)
+	}
+	if rig.recv.Blocked() || rig.send.Blocked() {
+		t.Fatal("a bystander process must block neither socket")
+	}
+	if err := rig.cp.Resume(step); err != nil {
+		t.Fatal(err)
+	}
+
+	sendOnly := []action.Op{{Kind: action.Replace, Old: "T1", New: "T2"}}
+	if err := rig.cp.PreAction(step, sendOnly); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.cp.Reset(ctx, step); err != nil {
+		t.Fatal(err)
+	}
+	if !rig.recv.Blocked() || !rig.send.Blocked() {
+		t.Fatal("a step that changes one socket must block both")
+	}
+	if err := rig.cp.Rollback(step, sendOnly, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCompositeRollback restores both chains and releases both sockets.
 func TestCompositeRollback(t *testing.T) {
 	rig := newRelayRig(t)

@@ -11,9 +11,8 @@ import (
 // is *derived* from a temporal specification instead of hand-identified —
 // the paper's future-work proposal (Sec. 7). The monitor's obligations
 // define when the process may be blocked: Reset waits for the link to
-// drain (the global safe condition, as usual) and then for every
-// outstanding obligation of the specification to be fulfilled before
-// blocking at a packet boundary.
+// drain (the global safe condition, as usual) and then blocks at a packet
+// boundary where every obligation of the specification is fulfilled.
 //
 // Feeding the monitor is the application's job (wire socket observers to
 // Monitor.Observe); typical specifications correlate per packet
@@ -23,14 +22,31 @@ import (
 func NewMonitoredRecvProcess(process string, sock *metasocket.RecvSocket, factory FilterFactory, mon *tlogic.Monitor) *SocketProcess {
 	return &SocketProcess{
 		process: process,
-		host:    sock,
+		host:    monitoredSocket{sock, mon},
 		factory: factory,
-		drain: func(ctx context.Context) error {
-			if err := sock.WaitDrained(ctx); err != nil {
-				return err
-			}
-			return mon.WaitSafe(ctx)
-		},
+		drain:   sock.WaitDrained,
+	}
+}
+
+// monitoredSocket blocks only where its monitor is safe.
+type monitoredSocket struct {
+	*metasocket.RecvSocket
+	mon *tlogic.Monitor
+}
+
+// RequestBlock decides safety at the boundary the block lands on: under a
+// streaming sender a packet that opens an obligation can arrive between the
+// monitor turning safe and the socket blocking, and only a blocked socket's
+// monitor stands still. Not safe then, the socket runs on and tries again.
+func (s monitoredSocket) RequestBlock(ctx context.Context) error {
+	for {
+		if err := s.mon.WaitSafe(ctx); err != nil {
+			return err
+		}
+		if err := s.RecvSocket.RequestBlock(ctx); err != nil || s.mon.Safe() {
+			return err
+		}
+		s.Unblock()
 	}
 }
 

@@ -2,6 +2,8 @@ package baseline
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/adapters"
 	"repro/internal/agent"
 	"repro/internal/manager"
+	"repro/internal/metasocket"
 	"repro/internal/netsim"
 	"repro/internal/paper"
 	"repro/internal/planner"
@@ -46,6 +49,11 @@ func TestMonitorDerivedSafeStates(t *testing.T) {
 	factory := video.FilterFactory()
 	hhMon := adapters.MonitorFrames(sys.Handheld.Socket())
 	lpMon := adapters.MonitorFrames(sys.Laptop.Socket())
+	// The chain each fragment met (the monitor holds the delivery
+	// observer; a fragment's arrival is under the same chain, which only
+	// changes between datagrams).
+	hhChains := recordChainPerFrame(sys.Handheld.Socket())
+	lpChains := recordChainPerFrame(sys.Laptop.Socket())
 	procs := map[string]agent.LocalProcess{
 		paper.ProcessServer:   adapters.NewSendProcess(paper.ProcessServer, sys.Server.Socket(), factory),
 		paper.ProcessHandheld: adapters.NewMonitoredRecvProcess(paper.ProcessHandheld, sys.Handheld.Socket(), factory, hhMon),
@@ -126,10 +134,43 @@ func TestMonitorDerivedSafeStates(t *testing.T) {
 	if hh.FramesCorrupted+hh.PacketsUndecoded+lp.FramesCorrupted+lp.PacketsUndecoded != 0 {
 		t.Errorf("corruption with monitor-derived safe states: %+v %+v", hh, lp)
 	}
+	for name, chains := range map[string]*chainPerFrame{"handheld": hhChains, "laptop": lpChains} {
+		if len(chains.split) != 0 {
+			t.Errorf("%s: frames split across an adaptation step: %v", name, chains.split)
+		}
+		if len(chains.seen) < 2 {
+			t.Errorf("%s: frames met %d distinct chains; the MAP should have recomposed this client mid-stream", name, len(chains.seen))
+		}
+	}
 	if hhMon.Observed() == 0 || lpMon.Observed() == 0 {
 		t.Error("monitors observed no events; wiring broken")
 	}
 	if !hhMon.Safe() || !lpMon.Safe() {
 		t.Errorf("monitors end unsafe: handheld %v laptop %v", hhMon.Obligations(), lpMon.Obligations())
 	}
+}
+
+// chainPerFrame is what recordChainPerFrame collects, on the socket's
+// delivery goroutine: read it after the socket has stopped.
+type chainPerFrame struct {
+	of    map[uint32]string // frame → the chain its first fragment met
+	seen  map[string]bool
+	split []string // frames whose fragments met two chains
+}
+
+// recordChainPerFrame notes the receiver's filter names as each fragment
+// arrives; a frame whose fragments saw two different chains straddled an
+// adaptation step.
+func recordChainPerFrame(sock *metasocket.RecvSocket) *chainPerFrame {
+	c := &chainPerFrame{of: make(map[uint32]string), seen: make(map[string]bool)}
+	sock.SetArrivalObserver(func(p metasocket.Packet) {
+		chain := strings.Join(sock.Filters(), ",")
+		c.seen[chain] = true
+		if first, ok := c.of[p.Frame]; !ok {
+			c.of[p.Frame] = chain
+		} else if first != chain {
+			c.split = append(c.split, fmt.Sprintf("frame %d: %s then %s", p.Frame, first, chain))
+		}
+	})
+	return c
 }

@@ -20,24 +20,30 @@ type vproc struct {
 	comps map[string]bool
 	// blocked marks the process held in its safe state.
 	blocked bool
+	// bystander marks a process the current step has no operation for; it
+	// is not blocked (the rule adapters.SocketProcess ships).
+	bystander bool
 	// failNextReset makes the next Reset fail (injected fail-to-reset).
 	failNextReset bool
 }
 
-func (p *vproc) PreAction(protocol.Step, []action.Op) error { return nil }
+func (p *vproc) PreAction(_ protocol.Step, ops []action.Op) error {
+	p.bystander = len(ops) == 0
+	return nil
+}
 
 // Reset drives the process to its safe state: it stops emitting, and —
 // its share of the global safe condition — drains every packet already
-// in flight toward it while its pre-step decoders still run. The
-// DisableDrain mutation hook skips the drain, which must make the
-// explorer catch a cut CCS.
+// in flight toward it while its pre-step decoders still run. A bystander
+// drains too and goes on emitting. The DisableDrain mutation hook skips
+// the drain, which must make the explorer catch a cut CCS.
 func (p *vproc) Reset(_ context.Context, protoStep protocol.Step) error {
 	if p.failNextReset {
 		p.failNextReset = false
 		return fmt.Errorf("injected fail-to-reset at %s", p.name)
 	}
-	p.blocked = true
-	p.e.logf("%s blocked in safe state (step %s)", p.name, protoStep.ActionID)
+	p.blocked = !p.bystander
+	p.e.logf("%s in safe state (step %s, blocked: %v)", p.name, protoStep.ActionID, p.blocked)
 	if !p.e.x.opts.DisableDrain {
 		p.drainInbound()
 	}

@@ -69,10 +69,12 @@ func (m *Manager) executeStep(ctx context.Context, parent *telemetry.Span, step 
 		phases = [][]string{participants}
 	}
 	// The phase policy may conscript processes beyond the action's own
-	// participants — e.g. quiescing a data-flow upstream sender so that a
-	// downstream decoder swap happens on a drained link (the global safe
-	// condition). Conscripted processes join the step fully: they block,
-	// acknowledge, and resume with everyone else.
+	// participants — e.g. a data-flow upstream sender, so that a
+	// downstream decoder swap happens after everything sent before the
+	// step has landed (the global safe condition). Conscripted processes
+	// take part in the step fully: they are reset, acknowledge, and resume
+	// with everyone else; whether one with no operation blocks meanwhile
+	// is its own affair (a MetaSocket does not).
 	seen := make(map[string]bool, len(participants))
 	for _, p := range participants {
 		seen[p] = true

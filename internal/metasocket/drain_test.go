@@ -3,6 +3,7 @@ package metasocket
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -261,6 +262,141 @@ func TestDrainUnderLiveTraffic(t *testing.T) {
 	}
 	close(link.ch)
 	sock.Wait()
+}
+
+// gatedSocket is a linked socket whose sink announces each packet on
+// entered and holds it until the test sends on leave: the test decides
+// when every datagram leaves the chain.
+func gatedSocket(t *testing.T) (sock *RecvSocket, link *stubLink, entered, leave chan struct{}) {
+	t.Helper()
+	entered, leave = make(chan struct{}), make(chan struct{})
+	sock, link = linkedSocket(t, func(Packet) error {
+		entered <- struct{}{}
+		<-leave
+		return nil
+	})
+	if err := sock.Start(link.ch); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		close(link.ch)
+		close(leave)
+		go func() {
+			for range entered {
+			}
+		}()
+		sock.Wait()
+		close(entered)
+	})
+	return sock, link, entered, leave
+}
+
+// send puts n datagrams on the wire and hands them over.
+func (l *stubLink) send(n int) {
+	for i := 0; i < n; i++ {
+		l.accept()
+		l.handOver()
+	}
+}
+
+// drainFrom starts WaitDrained and returns once it has taken its mark,
+// which must be want: what the test does to the link afterwards happens
+// after the wait began.
+func drainFrom(t *testing.T, sock *RecvSocket, want uint64) <-chan error {
+	t.Helper()
+	done := drainInBackground(context.Background(), sock)
+	for {
+		mark := sock.mark.Load()
+		if mark == want {
+			return done
+		}
+		if mark != noMark {
+			t.Fatalf("WaitDrained marked %d, want %d", mark, want)
+		}
+		runtime.Gosched()
+	}
+}
+
+func drained(t *testing.T, done <-chan error) {
+	t.Helper()
+	if err := <-done; err != nil {
+		t.Fatalf("WaitDrained: %v", err)
+	}
+}
+
+// TestDrainToWatermarkUnderLiveSender: with a sender that never pauses —
+// the link always owes the socket at least one datagram more — the wait
+// returns when the last datagram accepted before it began has left the
+// chain: not before, and without waiting for one accepted after.
+func TestDrainToWatermarkUnderLiveSender(t *testing.T) {
+	sock, link, entered, leave := gatedSocket(t)
+	link.send(2)
+	<-entered // the first is in the sink
+	done := drainFrom(t, sock, 2)
+
+	link.send(1) // past the mark
+	leave <- struct{}{}
+	<-entered // the first has left, the second is in the sink
+	stillWaiting(t, done)
+
+	link.send(1)
+	leave <- struct{}{} // the second leaves: everything below the mark has landed
+	drained(t, done)
+	<-entered // the third is in the sink, the fourth queued behind it
+	if sock.Drained() || sock.Pending() != 2 {
+		t.Fatalf("after the wait: drained=%v pending=%d, want a live link owing 2", sock.Drained(), sock.Pending())
+	}
+	leave <- struct{}{}
+	<-entered
+	leave <- struct{}{}
+}
+
+// TestDrainWatermarkAndLinkDrops: a drop lowers what the link owes, never
+// the mark. With the sender stopped the two fall together and the drop
+// releases the wait, as before; a drop past the mark does not end the wait
+// early; and a drop below the mark that the socket cannot tell from one
+// past it is made up by the next datagram through, which errs on the side
+// of waiting.
+func TestDrainWatermarkAndLinkDrops(t *testing.T) {
+	t.Run("below the mark, sender stopped", func(t *testing.T) {
+		sock, link, entered, leave := gatedSocket(t)
+		link.send(1)
+		link.accept() // stays on the wire
+		<-entered
+		done := drainFrom(t, sock, 2)
+		link.drop() // the link's drops happen at its head: this is the second
+		stillWaiting(t, done)
+		leave <- struct{}{}
+		drained(t, done)
+	})
+	t.Run("past the mark", func(t *testing.T) {
+		sock, link, entered, leave := gatedSocket(t)
+		link.send(2)
+		<-entered
+		done := drainFrom(t, sock, 2)
+		link.accept()
+		link.drop() // the third: both below the mark are still owed
+		leave <- struct{}{}
+		<-entered
+		stillWaiting(t, done)
+		leave <- struct{}{}
+		drained(t, done)
+	})
+	t.Run("below the mark, sender live", func(t *testing.T) {
+		sock, link, entered, leave := gatedSocket(t)
+		link.send(1)
+		link.accept() // the second, on the wire
+		<-entered
+		done := drainFrom(t, sock, 2)
+		link.accept() // the third, behind it
+		link.drop()   // the head of the wire: the second
+		leave <- struct{}{}
+		stillWaiting(t, done)
+		link.handOver() // the third stands in for it
+		<-entered
+		leave <- struct{}{}
+		drained(t, done)
+	})
 }
 
 // TestBlackoutTelemetryNilRegistryZeroAlloc: the blackout histograms cost

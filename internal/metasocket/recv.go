@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,6 +54,9 @@ type RecvSocket struct {
 	// link, when attached, is the ledger of what the network owes this
 	// socket; Drained compares it with processed.
 	link Link
+	// mark is what the link owed when the latest WaitDrained began; noMark
+	// before the first.
+	mark atomic.Uint64
 
 	// observeArrival, when set, sees every packet after unmarshalling and
 	// before chain processing; the CCS instrumentation hooks in here.
@@ -78,6 +82,7 @@ func NewRecvSocket(sink SinkFunc, filters ...Filter) (*RecvSocket, error) {
 		return nil, fmt.Errorf("metasocket: nil sink function")
 	}
 	r := &RecvSocket{blocker: newBlocker(), sink: sink, stacks: make(map[string][]string, 8)}
+	r.mark.Store(noMark)
 	r.SetTelemetry(nil)
 	for _, f := range filters {
 		if err := r.chain.insert(f, -1); err != nil {
@@ -203,14 +208,24 @@ func (r *RecvSocket) DecodeErrors() uint64 { return r.decodeErr.Load() }
 // this socket that the socket has not finished processing: on the wire,
 // in any queue between link and socket, or in the decoder chain. Without
 // an attached link it is 0.
-func (r *RecvSocket) Pending() int {
+func (r *RecvSocket) Pending() int { return r.pendingBelow(noMark) }
+
+// noMark is the watermark every owed datagram is below.
+const noMark uint64 = math.MaxUint64
+
+// pendingBelow is Pending over the first mark datagrams the link owes.
+// The link is FIFO and processed counts a datagram once its packets have
+// left the sink, so processed >= mark says everything accepted before Owed
+// read mark has landed. A drop lowers Owed, never mark: past a live
+// sender's mark a later datagram is held in a dropped one's place.
+func (r *RecvSocket) pendingBelow(mark uint64) int {
 	if r.link == nil {
 		return 0
 	}
 	// processed is read after Owed, so under a live sender it can have
 	// run ahead of the value Owed returned; it never exceeds the current
 	// one.
-	if owed, done := r.link.Owed(), r.processed.Load(); owed > done {
+	if owed, done := min(r.link.Owed(), mark), r.processed.Load(); owed > done {
 		return int(owed - done)
 	}
 	return 0
@@ -231,10 +246,13 @@ func (r *RecvSocket) Drained() bool {
 
 func (r *RecvSocket) drainedLocked() bool { return !r.busy && r.Pending() == 0 }
 
-// WaitDrained blocks until Drained holds, the socket closes, or ctx
-// expires. It does not poll: the only events that can make the condition
-// true — a packet leaving the decoder chain, a drop on the link — wake it
-// through the blocker's condition variable.
+// WaitDrained blocks until the socket has processed, or the link has
+// dropped, every datagram the link had accepted when the wait began (a
+// watermark on a FIFO link: Drained against a blocked sender, at most a
+// link latency against a live one), or the socket closes, or ctx expires.
+// It does not poll: the only events that can make the condition true — a
+// packet leaving the decoder chain, a drop on the link — wake it through
+// the blocker's condition variable.
 func (r *RecvSocket) WaitDrained(ctx context.Context) error {
 	start := time.Now()
 	stop := context.AfterFunc(ctx, r.wake)
@@ -242,7 +260,11 @@ func (r *RecvSocket) WaitDrained(ctx context.Context) error {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for !r.drainedLocked() {
+	if r.link != nil {
+		r.mark.Store(r.link.Owed())
+	}
+	mark := r.mark.Load()
+	for r.pendingBelow(mark) > 0 || (r.link == nil && r.busy) {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("metasocket: drain: %w", err)
 		}
@@ -267,10 +289,11 @@ func (r *RecvSocket) RequestBlock(ctx context.Context) error {
 		return err
 	}
 	tel.Histogram("metasocket.recv.block.latency").ObserveSince(start)
-	// Datagrams still owed to the blocked socket: 0 after a drained
-	// reset, otherwise what a recomposition now would strand.
+	// What a recomposition now would strand: datagrams accepted before the
+	// socket's latest drain began (all it is owed, if it never drained)
+	// and still unprocessed. 0 after a drained reset, live sender or not.
 	if r.link != nil {
-		tel.Gauge("metasocket.recv.pending_at_block").Set(int64(r.Pending()))
+		tel.Gauge("metasocket.recv.pending_at_block").Set(int64(r.pendingBelow(r.mark.Load())))
 	}
 	return nil
 }

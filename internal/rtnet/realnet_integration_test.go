@@ -12,10 +12,26 @@ import (
 	"repro/internal/metasocket"
 	"repro/internal/paper"
 	"repro/internal/planner"
+	"repro/internal/protocol"
 	"repro/internal/rtnet"
 	"repro/internal/transport"
 	"repro/internal/video"
 )
+
+// pausingSender blocks the server in every step it takes part in, as
+// cmd/videonode's does: a receiver over real UDP drains by waiting for its
+// socket to fall quiet, which a streaming sender never lets it.
+type pausingSender struct {
+	*adapters.SocketProcess
+	sock *metasocket.SendSocket
+}
+
+func (p pausingSender) Reset(ctx context.Context, step protocol.Step) error {
+	if err := p.SocketProcess.Reset(ctx, step); err != nil {
+		return err
+	}
+	return p.sock.RequestBlock(ctx)
+}
 
 // TestRealNetworkEndToEnd runs the complete case study on real sockets:
 // the video stream flows over UDP (rtnet) from the server's MetaSocket to
@@ -99,7 +115,7 @@ func TestRealNetworkEndToEnd(t *testing.T) {
 		return p
 	}
 	procs := map[string]agent.LocalProcess{
-		paper.ProcessServer:   adapters.NewSendProcess(paper.ProcessServer, sendSock, factory),
+		paper.ProcessServer:   pausingSender{adapters.NewSendProcess(paper.ProcessServer, sendSock, factory), sendSock},
 		paper.ProcessHandheld: adapters.NewRecvProcess(paper.ProcessHandheld, handheld.Socket(), factory),
 		paper.ProcessLaptop:   adapters.NewRecvProcess(paper.ProcessLaptop, laptop.Socket(), factory),
 	}

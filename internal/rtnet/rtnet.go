@@ -137,7 +137,7 @@ func (r *Receiver) Recv() <-chan []byte { return r.ch }
 func (r *Receiver) Pending() int { return len(r.ch) }
 
 // Owed implements metasocket.Link: the datagrams put on the channel so
-// far, plus one while the socket has not been quiet for quietWindow —
+// far, plus unread while the socket has not been quiet for quietWindow —
 // standing for whatever may still be in kernel buffers, which cannot be
 // counted. So a drain over real UDP is exact for everything in user
 // space and waits out one quiet window for the rest.
@@ -146,10 +146,17 @@ func (r *Receiver) Owed() uint64 {
 	defer r.mu.Unlock()
 	owed := r.delivered
 	if !r.lastRead.IsZero() && time.Since(r.lastRead) < quietWindow {
-		owed++
+		owed += unread
 	}
 	return owed
 }
+
+// unread is more than a receiver processes in any wait: a drain to a
+// watermark (metasocket.RecvSocket.WaitDrained) that takes its mark
+// inside a window cannot reach it by processing what arrives, and ends,
+// as it always has, when the socket has been quiet. A one would be met by
+// the first datagram out of the kernel, whatever came behind it.
+const unread = 1 << 32
 
 // OnRelease implements metasocket.Link: fn is called, outside the
 // receiver's lock, when a quiet window ends. Set it before traffic

@@ -2,8 +2,11 @@ package rtnet
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
+
+	"repro/internal/metasocket"
 )
 
 func recvOne(t *testing.T, r *Receiver) []byte {
@@ -168,5 +171,72 @@ func TestOwedSettlesAfterQuietWindow(t *testing.T) {
 	}
 	if owed := r.Owed(); owed != 1 {
 		t.Fatalf("owed %d once settled, want 1", owed)
+	}
+}
+
+// TestDrainWaitsOutQuietWindow: against a stopped sender a receive socket's
+// drain ends when the UDP socket has been quiet for the window, not when the
+// socket has caught up with what was read — and a straggler out of the
+// kernel's buffers during the wait opens a new window instead of ending it:
+// the drain's watermark never falls inside what cannot be counted.
+func TestDrainWaitsOutQuietWindow(t *testing.T) {
+	r, err := NewReceiver("127.0.0.1:0", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = r.Close() }()
+	tx, err := NewTransmitter(r.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tx.Close() }()
+
+	delivered := make(chan struct{}, 2)
+	sock, err := metasocket.NewRecvSocket(func(metasocket.Packet) error {
+		delivered <- struct{}{}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sock.AttachLink(r)
+	if err := sock.Start(r.Recv()); err != nil {
+		t.Fatal(err)
+	}
+	datagram := metasocket.Packet{Count: 1, Payload: []byte("x")}.Marshal()
+	send := func() time.Time {
+		t.Helper()
+		if err := tx.Send(datagram); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-delivered:
+		case <-time.After(2 * time.Second):
+			t.Fatal("datagram never delivered")
+		}
+		return time.Now()
+	}
+
+	send()
+	done := make(chan error, 1)
+	go func() { done <- sock.WaitDrained(context.Background()) }()
+	// Let the wait take its mark inside the first window; either order
+	// must pass.
+	time.Sleep(time.Millisecond)
+	last := send() // the socket has caught up with both; only the window is open
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the drain never ended")
+	}
+	// The window runs from the read, which came before the delivery.
+	if quiet := time.Since(last); quiet < quietWindow-time.Millisecond {
+		t.Fatalf("drained %v after the last datagram, before the %v quiet window", quiet, quietWindow)
+	}
+	if !sock.Drained() {
+		t.Fatal("not drained after the wait")
 	}
 }

@@ -57,10 +57,12 @@ type System struct {
 	Target ConfigSpec `json:"target"`
 	// Dataflow optionally orders the processes upstream → downstream
 	// (e.g. ["server", "handheld", "laptop"], with equal-rank processes
-	// simply listed in any order after their upstream). When set, the
-	// runtime quiesces upstream processes first on every adaptation step
-	// — conscripting them if needed — so downstream processes swap
-	// components on drained links (the paper's global safe condition).
+	// simply listed in any order after their upstream). When set, upstream
+	// processes take their turn first on every adaptation step —
+	// conscripted if needed: blocked where the step changes them, left
+	// running where it does not — so downstream processes swap components
+	// once everything sent before the step has landed (the paper's global
+	// safe condition).
 	Dataflow []string `json:"dataflow,omitempty"`
 }
 
@@ -129,9 +131,12 @@ type Compiled struct {
 // ResetPhases derives the step reset-phase policy from the declared
 // dataflow. The dataflow names the upstream processes in order;
 // processes not named are downstream leaves. For a step touching a
-// downstream process, every named upstream process is conscripted, in
-// order, before the downstream participants — so downstream swaps always
-// happen on drained links (the paper's global safe condition). For a
+// downstream process, every named upstream process is conscripted to take
+// part, in order, before the downstream participants: one the step changes
+// is blocked, one it does not is a bystander that passes on what it has
+// received and keeps running (adapters.SocketProcess.Reset) — so
+// downstream swaps always happen after everything sent before the step
+// has landed (the paper's global safe condition). For a
 // step touching only the upstream-most process, no ordering is needed
 // and nil is returned (single simultaneous phase).
 func (c *Compiled) ResetPhases(participants []string) [][]string {

@@ -205,18 +205,21 @@ func (s *System) ConfigurationOf() map[string][]string {
 	}
 }
 
-// SenderFirstPhases is the reset-phase policy for the video system:
-// quiesce the data-flow upstream process (the server) before the
-// downstream clients, so that by the time a client drains its link the
-// sender has stopped producing — together they realize the paper's global
-// safe condition ("the receiver has received all the datagram packets
-// that the sender has sent").
+// SenderFirstPhases is the reset-phase policy for the video system: the
+// data-flow upstream process (the server) takes its turn before the
+// downstream clients, so that when a client drains its link the sender is
+// either blocked or a bystander the step does not change — together they
+// realize the paper's global safe condition ("the receiver has received
+// all the datagram packets that the sender has sent").
 //
 // When a step touches only clients (e.g. A16, remove D4), the server is
-// conscripted anyway: packets already in flight were encoded under the
-// pre-step chain, and swapping a decoder before they land would strand
-// them. The manager adds conscripted processes to the step's
-// participants.
+// conscripted anyway — to take part, not to block: packets it sent before
+// the step may have been encoded under an earlier chain, and swapping a
+// decoder before they land would strand them, so the clients drain to
+// what had been sent when their reset began (RecvSocket.WaitDrained) while
+// the server, which the step leaves alone, keeps streaming
+// (adapters.SocketProcess.Reset). The manager adds conscripted processes
+// to the step's participants.
 func SenderFirstPhases(participants []string) [][]string {
 	receivers := make([]string, 0, len(participants))
 	for _, p := range participants {
