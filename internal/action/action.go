@@ -10,7 +10,7 @@ package action
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -234,18 +234,21 @@ func (a Action) Inverse() Action {
 // action touches; these are the processes whose agents participate in the
 // distributed adaptive action.
 func (a Action) Processes(reg *model.Registry) ([]string, error) {
-	seen := make(map[string]bool, len(a.Ops))
-	var out []string
-	for _, name := range a.Components() {
-		p, err := reg.ProcessOf(name)
-		if err != nil {
-			return nil, fmt.Errorf("action %s: %w", a.ID, err)
-		}
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
+	out := make([]string, 0, 2*len(a.Ops))
+	for _, op := range a.Ops {
+		for _, name := range [2]string{op.Old, op.New} {
+			if name == "" {
+				continue
+			}
+			p, err := reg.ProcessOf(name)
+			if err != nil {
+				return nil, fmt.Errorf("action %s: %w", a.ID, err)
+			}
+			if !slices.Contains(out, p) {
+				out = append(out, p)
+			}
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out, nil
 }

@@ -153,6 +153,12 @@ type Agent struct {
 	curStep   protocol.Step
 	haveStep  bool
 	inActDone bool
+	// curKey is curStep.Key(), formatted once when the step is adopted:
+	// every transition of the step records it.
+	curKey string
+	// curOps is this agent's share of curStep's operations, computed once
+	// when the step is adopted. Accessed only from the run goroutine.
+	curOps []action.Op
 	// safeSince is when the process entered its safe state for the
 	// current step; the blocked-dwell histogram measures from here.
 	// Accessed only from the run goroutine.
@@ -284,7 +290,7 @@ const maxTrace = 4096
 func (a *Agent) transition(to State, cause string) {
 	a.mu.Lock()
 	from := a.state
-	stepKey := a.curStep.Key()
+	stepKey := a.curKey
 	if from == StateRunning && len(a.trace) >= maxTrace {
 		a.trace = a.trace[:0]
 	}
@@ -451,8 +457,7 @@ func (a *Agent) ExpireLease() {
 	}
 	switch state {
 	case StateResetting, StateSafe:
-		ops := a.localOps(step)
-		if err := a.proc.Rollback(step, ops, applied); err != nil {
+		if err := a.proc.Rollback(step, a.curOps, applied); err != nil {
 			a.flightEvent(telemetry.FlightRollback,
 				"lease expired but local rollback failed: "+err.Error())
 			return
@@ -514,8 +519,10 @@ func (a *Agent) handleReset(step protocol.Step, tc protocol.TraceContext) {
 		return
 	}
 
+	key := step.Key()
 	a.mu.Lock()
 	a.curStep = step
+	a.curKey = key
 	a.haveStep = true
 	a.inActDone = false
 	// A fresh reset means the manager accepted the previous step's
@@ -524,13 +531,12 @@ func (a *Agent) handleReset(step protocol.Step, tc protocol.TraceContext) {
 	a.mu.Unlock()
 
 	ops := a.localOps(step)
+	a.curOps = ops
 
 	// The agent-side step span: remote-parented under the manager span
 	// that sent the reset, so the cross-node tree splices this agent's
 	// work under the manager's wave.
-	stepSpan := a.startSpan("agent step "+step.ActionID, tc,
-		telemetry.String("agent", a.name),
-		telemetry.String("step", step.Key()))
+	stepSpan := a.startSpan("agent step ", step.ActionID, step, tc)
 	defer stepSpan.End()
 
 	// Pre-action: does not interfere with functional behavior.
@@ -621,11 +627,10 @@ func (a *Agent) handleResume(step protocol.Step, tc protocol.TraceContext) {
 	a.doResume(step, tc, `receive "resume"`)
 }
 
+// doResume resumes the adopted step, curStep.
 func (a *Agent) doResume(step protocol.Step, tc protocol.TraceContext, cause string) {
-	ops := a.localOps(step)
-	span := a.startSpan("agent resume "+step.ActionID, tc,
-		telemetry.String("agent", a.name),
-		telemetry.String("step", step.Key()))
+	ops := a.curOps
+	span := a.startSpan("agent resume ", step.ActionID, step, tc)
 	defer span.End()
 	a.transition(StateResuming, cause)
 	resumeStart := a.opts.Clock.Now()
@@ -665,9 +670,7 @@ func (a *Agent) handleRollback(step protocol.Step, tc protocol.TraceContext) {
 	// Whatever the path below, a rollback command means the adaptation
 	// failed somewhere: dump this node's black box after handling it.
 	defer a.tel.Flight().AutoDump("rollback")
-	span := a.startSpan("agent rollback", tc,
-		telemetry.String("agent", a.name),
-		telemetry.String("step", step.Key()))
+	span := a.startSpan("agent rollback", "", step, tc)
 	defer span.End()
 	a.mu.Lock()
 	state := a.state

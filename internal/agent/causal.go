@@ -51,11 +51,18 @@ func (a *Agent) flightEvent(kind, detail string) {
 	})
 }
 
-// startSpan opens a span attributed to this agent, parented under the
-// manager-side span named by tc (the remote parent propagated in the
-// command that caused this work). A zero tc leaves the span a root.
-func (a *Agent) startSpan(name string, tc protocol.TraceContext, attrs ...telemetry.Attr) *telemetry.Span {
-	s := a.tel.StartSpan(name, attrs...)
+// startSpan opens the span name+actionID for step, attributed to this agent
+// and parented under the manager-side span named by tc (the remote parent
+// propagated in the command that caused this work). A zero tc leaves the
+// span a root. With telemetry off it returns nil before building the name
+// or the attributes: nil telemetry formats nothing.
+func (a *Agent) startSpan(name, actionID string, step protocol.Step, tc protocol.TraceContext) *telemetry.Span {
+	if !a.tel.Enabled() {
+		return nil
+	}
+	s := a.tel.StartSpan(name+actionID,
+		telemetry.String("agent", a.name),
+		telemetry.String("step", step.Key()))
 	s.SetNode(a.name)
 	s.SetRemoteParent(tc.Origin, tc.SpanID)
 	return s

@@ -33,9 +33,9 @@ func grow(dst, src []byte) []byte {
 
 //safeadaptvet:hotpath
 func literals() int {
-	s := []int{1, 2}      // want "slice literal"
-	m := map[string]int{} // want "map literal"
-	p := &point{1, 2}     // want "heap-allocates"
+	s := []int{1, 2}             // want "slice literal"
+	m := map[string]int{}        // want "map literal"
+	p := &point{1, 2}            // want "heap-allocates"
 	f := func() int { return 1 } // want "closure literal"
 	return s[0] + len(m) + p.x + f()
 }

@@ -264,6 +264,11 @@ type Manager struct {
 	wanted, got map[string]bool
 	deadline    *time.Timer
 
+	// wave and names are a step's send and await buffers, refilled wave
+	// by wave: sendWave and await only borrow them. Execute goroutine only.
+	wave  []protocol.Message
+	names []string
+
 	// jr mirrors opts.Journal; epoch is this incarnation's fencing epoch
 	// (0 when journalless), fixed at New and stamped on every send.
 	jr    journal.Journal
@@ -511,9 +516,9 @@ func (m *Manager) ExecuteContext(ctx context.Context, source, target model.Confi
 		m.mu.Unlock()
 	}()
 
-	reg := m.plan.Registry()
 	res := Result{Final: source}
 
+	var span *telemetry.Span // nil telemetry formats nothing
 	if m.tel.Enabled() {
 		// One adaptation = one trace, across every node the protocol
 		// touches: agents adopt this ID from the messages we stamp.
@@ -522,13 +527,13 @@ func (m *Manager) ExecuteContext(ctx context.Context, source, target model.Confi
 		}
 		m.traceSeq++
 		m.tel.SetActiveTrace(fmt.Sprintf("adaptation-%d", m.traceSeq))
+		span = m.tel.StartSpan("adaptation",
+			telemetry.String("source", m.plan.BitVector(source)),
+			telemetry.String("target", m.plan.BitVector(target)))
 	}
 
 	m.tel.Counter("manager.adaptations").Inc()
 	adaptStart := m.opts.Clock.Now()
-	span := m.tel.StartSpan("adaptation",
-		telemetry.String("source", reg.BitVector(source)),
-		telemetry.String("target", reg.BitVector(target)))
 	defer func() {
 		m.tel.Histogram("manager.adaptation.latency").Observe(m.opts.Clock.Now().Sub(adaptStart))
 		span.End()
@@ -537,8 +542,8 @@ func (m *Manager) ExecuteContext(ctx context.Context, source, target model.Confi
 	m.transition(StatePreparing, `receive "adaptation request"`)
 	if jerr := m.journal(journal.Record{
 		Kind:   journal.KindAdaptBegin,
-		Source: reg.BitVector(source),
-		Target: reg.BitVector(target),
+		Source: m.plan.BitVector(source),
+		Target: m.plan.BitVector(target),
 	}, false); jerr != nil {
 		return res, jerr
 	}
@@ -555,10 +560,14 @@ func (m *Manager) ExecuteContext(ctx context.Context, source, target model.Confi
 		_ = m.journal(journal.Record{Kind: journal.KindAdaptEnd, Outcome: "failed", Detail: "plan: " + err.Error()}, true)
 		return res, fmt.Errorf("manager: plan: %w", err)
 	}
-	planSpan.SetAttr("map", path.String())
+	var mapText string // formatted only for the span, the log or the journal
+	if planSpan != nil || m.opts.Logf != nil || m.jr != nil {
+		mapText = path.String()
+		m.logf("MAP: %s", mapText)
+	}
+	planSpan.SetAttr("map", mapText)
 	planSpan.End()
-	m.logf("MAP: %s", path)
-	if jerr := m.journal(journal.Record{Kind: journal.KindPlan, Detail: path.String()}, false); jerr != nil {
+	if jerr := m.journal(journal.Record{Kind: journal.KindPlan, Detail: mapText}, false); jerr != nil {
 		return res, jerr
 	}
 
@@ -598,7 +607,7 @@ func (m *Manager) ExecuteContext(ctx context.Context, source, target model.Confi
 			m.tel.Counter("manager.adaptations.aborted").Inc()
 			span.SetErrorText("aborted")
 			_ = m.journal(journal.Record{Kind: journal.KindAdaptEnd, Outcome: "aborted"}, true)
-			return res, fmt.Errorf("manager: adaptation aborted at %s: %w", reg.BitVector(current), stepErr)
+			return res, fmt.Errorf("manager: adaptation aborted at %s: %w", m.plan.BitVector(current), stepErr)
 		}
 
 		// A step failed (system is at `current`, a safe configuration).
@@ -658,7 +667,7 @@ func (m *Manager) ExecuteContext(ctx context.Context, source, target model.Confi
 		_ = m.journal(journal.Record{Kind: journal.KindAdaptEnd, Outcome: "user intervention", Detail: sf.why}, true)
 		return res, &ErrUserIntervention{
 			Current: current,
-			Vector:  reg.BitVector(current),
+			Vector:  m.plan.BitVector(current),
 			Reason:  sf.why,
 		}
 	}
@@ -700,7 +709,7 @@ func (m *Manager) alternative(current, target model.Config, failed []sag.Edge) (
 // completed.
 func (m *Manager) executePath(ctx context.Context, parent *telemetry.Span, path sag.Path, from model.Config, attempt *int) (bool, model.Config, []StepReport, error) {
 	current := from
-	var reports []StepReport
+	reports := make([]StepReport, 0, len(path.Steps))
 	for i, step := range path.Steps {
 		if err := ctx.Err(); err != nil {
 			return false, current, reports, err
@@ -708,7 +717,7 @@ func (m *Manager) executePath(ctx context.Context, parent *telemetry.Span, path 
 		if step.From != current {
 			// Defensive: the path must be contiguous from `current`.
 			return false, current, reports, fmt.Errorf("manager: path step %d starts at %s but system is at %s",
-				i, m.plan.Registry().BitVector(step.From), m.plan.Registry().BitVector(current))
+				i, m.plan.BitVector(step.From), m.plan.BitVector(current))
 		}
 		var lastErr error
 		succeeded := false

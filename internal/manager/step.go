@@ -22,21 +22,25 @@ import (
 // propagates). A failure after the first resume returns *errPastNoReturn
 // — from that point the step ignores ctx and runs to completion.
 func (m *Manager) executeStep(ctx context.Context, parent *telemetry.Span, step sag.Edge, pathIndex, attempt int) (rep StepReport, err error) {
-	reg := m.plan.Registry()
 	rep = StepReport{
 		ActionID: step.Action.ID,
-		From:     reg.BitVector(step.From),
-		To:       reg.BitVector(step.To),
+		From:     m.plan.BitVector(step.From),
+		To:       m.plan.BitVector(step.To),
 		Attempt:  attempt,
 	}
 	m.stash = m.stash[:0] // drop replies from earlier steps
 
 	m.tel.Counter("manager.steps").Inc()
 	stepStart := m.opts.Clock.Now()
-	stepSpan := parent.Child("step "+step.Action.ID,
-		telemetry.String("from", rep.From),
-		telemetry.String("to", rep.To),
-		telemetry.String("attempt", strconv.Itoa(attempt)))
+	// Nil telemetry formats nothing: a span's name and attributes are built
+	// only when it has a parent to record it.
+	var stepSpan *telemetry.Span
+	if parent != nil {
+		stepSpan = parent.Child("step "+step.Action.ID,
+			telemetry.String("from", rep.From),
+			telemetry.String("to", rep.To),
+			telemetry.String("attempt", strconv.Itoa(attempt)))
+	}
 	defer func() {
 		m.tel.Histogram("manager.step.latency").Observe(m.opts.Clock.Now().Sub(stepStart))
 		if rep.BlockedFor > 0 {
@@ -50,7 +54,7 @@ func (m *Manager) executeStep(ctx context.Context, parent *telemetry.Span, step 
 		stepSpan.End()
 	}()
 
-	participants, perr := step.Action.Processes(reg)
+	participants, perr := step.Action.Processes(m.plan.Registry())
 	if perr != nil {
 		rep.Outcome = "failed"
 		rep.Err = perr.Error()
@@ -160,16 +164,15 @@ func (m *Manager) executeStep(ctx context.Context, parent *telemetry.Span, step 
 		rep.Err = jerr.Error()
 		return rep, jerr
 	}
-	resetSpan := stepSpan.Child("reset", telemetry.String("phases", strconv.Itoa(len(phases))))
+	var resetSpan *telemetry.Span
+	if stepSpan != nil {
+		resetSpan = stepSpan.Child("reset", telemetry.String("phases", strconv.Itoa(len(phases))))
+	}
 	for _, phase := range phases {
 		// Pipelined fan-out: the whole phase's resets are fired as one wave
 		// (one frame per child link on a batching transport) before any ack
 		// is awaited, instead of the old send-per-agent serial round.
-		wave := make([]protocol.Message, 0, len(phase))
-		for _, p := range phase {
-			wave = append(wave, protocol.Message{Type: protocol.MsgReset, To: p, Step: pstep})
-		}
-		if err := m.sendWave(wave, resetSpan); err != nil {
+		if err := m.sendWave(m.commandWave(protocol.MsgReset, phase, pstep), resetSpan); err != nil {
 			resetSpan.SetErrorText("send failed")
 			resetSpan.End()
 			return fail(fmt.Sprintf("send reset wave: %v", err))
@@ -259,18 +262,16 @@ func (m *Manager) executeStep(ctx context.Context, parent *telemetry.Span, step 
 		}
 		// Iterate the sorted participants slice, not the pending map:
 		// send order must be deterministic for replayable exploration.
-		names := make([]string, 0, len(pending))
-		wave := make([]protocol.Message, 0, len(pending))
+		names := m.names[:0]
 		for _, p := range participants {
-			if !pending[p] {
-				continue
+			if pending[p] {
+				names = append(names, p)
 			}
-			names = append(names, p)
-			wave = append(wave, protocol.Message{Type: protocol.MsgResume, To: p, Step: pstep})
 		}
+		m.names = names
 		// Connection-level send failures are tolerated like message loss:
 		// the retry loop re-drives whoever never acked.
-		_ = m.sendWave(wave, resumeSpan)
+		_ = m.sendWave(m.commandWave(protocol.MsgResume, names, pstep), resumeSpan)
 		// Past the point of no return: resume waits ignore cancellation
 		// (context.Background) so the step runs to completion.
 		got, _ := m.await(context.Background(), names, pstep, protocol.MsgResumeDone, 0, m.opts.StepTimeout)
@@ -301,6 +302,17 @@ func (m *Manager) executeStep(ctx context.Context, parent *telemetry.Span, step 
 	rep.Err = fmt.Sprintf("resume not confirmed by %d agent(s)", len(pending))
 	_ = m.journal(journal.Record{Kind: journal.KindStepEnd, Step: pstep, Outcome: "failed", Detail: rep.Err}, false)
 	return rep, &errPastNoReturn{why: rep.Err}
+}
+
+// commandWave fills the manager's wave buffer with one cmd for each process
+// in to, in order. The buffer is reused by the next wave: sendWave only
+// borrows it, and every message holds its step by value.
+func (m *Manager) commandWave(cmd protocol.MsgType, to []string, step protocol.Step) []protocol.Message {
+	m.wave = m.wave[:0]
+	for _, p := range to {
+		m.wave = append(m.wave, protocol.Message{Type: cmd, To: p, Step: step})
+	}
+	return m.wave
 }
 
 // ackGroup records one aggregated coordinator ack consumed by await, so
@@ -352,26 +364,30 @@ func (m *Manager) startHeartbeats(participants []string, step protocol.Step) fun
 	}
 	stop := make(chan struct{})
 	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(m.opts.HeartbeatInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				hb := make([]protocol.Message, 0, len(participants))
-				for _, p := range participants {
-					hb = append(hb, protocol.Message{Type: protocol.MsgHeartbeat, To: p, Step: step})
-				}
-				_ = m.sendWave(hb, nil)
-			}
-		}
-	}()
+	go m.heartbeat(participants, step, stop, done)
 	return func() {
 		close(stop)
 		<-done
+	}
+}
+
+// heartbeat is startHeartbeats' pump. It is a function of its own so that
+// its arguments move to the heap only when heartbeats start.
+func (m *Manager) heartbeat(participants []string, step protocol.Step, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	t := time.NewTicker(m.opts.HeartbeatInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+			hb := make([]protocol.Message, 0, len(participants))
+			for _, p := range participants {
+				hb = append(hb, protocol.Message{Type: protocol.MsgHeartbeat, To: p, Step: step})
+			}
+			_ = m.sendWave(hb, nil)
+		}
 	}
 }
 
@@ -527,11 +543,7 @@ const maxStash = 64
 // best effort suffices: an agent that never received reset acknowledges
 // trivially.
 func (m *Manager) rollbackAll(span *telemetry.Span, participants []string, step protocol.Step) {
-	wave := make([]protocol.Message, 0, len(participants))
-	for _, p := range participants {
-		wave = append(wave, protocol.Message{Type: protocol.MsgRollback, To: p, Step: step})
-	}
-	_ = m.sendWave(wave, span)
+	_ = m.sendWave(m.commandWave(protocol.MsgRollback, participants, step), span)
 	// Rollback acknowledgements are awaited even during an abort: the
 	// whole point of cancelling cleanly is leaving the system safe.
 	m.await(context.Background(), participants, step, protocol.MsgRollbackDone, 0, m.opts.StepTimeout)

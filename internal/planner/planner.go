@@ -80,6 +80,16 @@ func (p *Planner) SetNow(now func() time.Time) {
 // Registry returns the component registry.
 func (p *Planner) Registry() *model.Registry { return p.reg }
 
+// BitVector renders c in the paper's notation: from the SAG's vector table
+// once the graph is built and c is one of its safe configurations, from
+// the registry otherwise.
+func (p *Planner) BitVector(c model.Config) string {
+	if p.graph != nil {
+		return p.graph.BitVector(c)
+	}
+	return p.reg.BitVector(c)
+}
+
 // SetTelemetry installs the telemetry registry the planner reports its
 // timings and cache statistics to. Nil disables instrumentation. Call it
 // before planning starts.

@@ -38,8 +38,8 @@ func (p *trackingProc) InAction(step protocol.Step, _ []action.Op) error {
 	p.mu.Unlock()
 	return nil
 }
-func (p *trackingProc) Resume(protocol.Step) error                   { return nil }
-func (p *trackingProc) PostAction(protocol.Step, []action.Op) error  { return nil }
+func (p *trackingProc) Resume(protocol.Step) error                      { return nil }
+func (p *trackingProc) PostAction(protocol.Step, []action.Op) error     { return nil }
 func (p *trackingProc) Rollback(protocol.Step, []action.Op, bool) error { return nil }
 
 // leaderCrashJournal simulates the leader process dying at a chosen

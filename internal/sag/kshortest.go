@@ -1,9 +1,7 @@
 package sag
 
 import (
-	"container/heap"
 	"sort"
-	"time"
 
 	"repro/internal/model"
 )
@@ -104,8 +102,9 @@ func (b *banSet) banEdge(e Edge) {
 	b.edges[edgeKey{from: e.From, to: e.To, actionID: e.Action.ID}] = true
 }
 
-func (b *banSet) edgeBanned(e Edge) bool {
-	return b.edges[edgeKey{from: e.From, to: e.To, actionID: e.Action.ID}]
+// excludes reports whether e or its head is banned; a nil set bans nothing.
+func (b *banSet) excludes(e Edge) bool {
+	return b != nil && (b.nodes[e.To] || b.edges[edgeKey{from: e.From, to: e.To, actionID: e.Action.ID}])
 }
 
 // shortestPathAvoiding is Dijkstra restricted to edges and nodes not in
@@ -123,57 +122,10 @@ func (g *Graph) shortestPathAvoiding(source, target model.Config, banned *banSet
 		return Path{}, nil
 	}
 
-	const inf = time.Duration(1<<63 - 1)
-	dist := make([]time.Duration, len(g.nodes))
-	prev := make([]int, len(g.nodes))
-	via := make([]Edge, len(g.nodes))
-	done := make([]bool, len(g.nodes))
-	for i := range dist {
-		dist[i] = inf
-		prev[i] = -1
+	if path, ok := g.dijkstra(si, ti, banned, false); ok {
+		return path, nil
 	}
-	dist[si] = 0
-
-	pq := &nodeHeap{}
-	heap.Push(pq, nodeDist{node: si, dist: 0})
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(nodeDist)
-		u := cur.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		if u == ti {
-			break
-		}
-		for _, e := range g.out[u] {
-			if banned.nodes[e.To] || banned.edgeBanned(e) {
-				continue
-			}
-			v := g.index[e.To]
-			if done[v] {
-				continue
-			}
-			if nd := dist[u] + e.Action.Cost; nd < dist[v] {
-				dist[v] = nd
-				prev[v] = u
-				via[v] = e
-				heap.Push(pq, nodeDist{node: v, dist: nd})
-			}
-		}
-	}
-	if dist[ti] == inf {
-		return Path{}, &ErrNoPath{Source: g.reg.BitVector(source), Target: g.reg.BitVector(target)}
-	}
-	var rev []Edge
-	for at := ti; at != si; at = prev[at] {
-		rev = append(rev, via[at])
-	}
-	steps := make([]Edge, len(rev))
-	for i := range rev {
-		steps[i] = rev[len(rev)-1-i]
-	}
-	return Path{Steps: steps}, nil
+	return Path{}, &ErrNoPath{Source: g.reg.BitVector(source), Target: g.reg.BitVector(target)}
 }
 
 func sameSteps(a, b []Edge) bool {

@@ -10,7 +10,6 @@
 package sag
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -33,6 +32,7 @@ type Graph struct {
 	reg     *model.Registry
 	nodes   []model.Config
 	index   map[model.Config]int
+	vecs    []string // bit vectors, indexed like nodes
 	out     [][]Edge // adjacency, indexed like nodes
 	edgeCnt int
 }
@@ -56,6 +56,7 @@ func Build(reg *model.Registry, safe []model.Config, actions []action.Action) (*
 		reg:   reg,
 		nodes: make([]model.Config, len(safe)),
 		index: make(map[model.Config]int, len(safe)),
+		vecs:  make([]string, len(safe)),
 		out:   make([][]Edge, len(safe)),
 	}
 	copy(g.nodes, safe)
@@ -65,6 +66,7 @@ func Build(reg *model.Registry, safe []model.Config, actions []action.Action) (*
 			return nil, fmt.Errorf("sag: duplicate safe configuration %s", reg.BitVector(c))
 		}
 		g.index[c] = i
+		g.vecs[i] = reg.BitVector(c)
 	}
 	for i, from := range g.nodes {
 		for _, a := range actions {
@@ -90,6 +92,16 @@ func (g *Graph) Nodes() []model.Config {
 	out := make([]model.Config, len(g.nodes))
 	copy(out, g.nodes)
 	return out
+}
+
+// BitVector renders c in the paper's notation. A safe configuration's
+// string was rendered once, when the graph was built; any other
+// configuration falls back to Registry.BitVector.
+func (g *Graph) BitVector(c model.Config) string {
+	if i, ok := g.index[c]; ok {
+		return g.vecs[i]
+	}
+	return g.reg.BitVector(c)
 }
 
 // NumNodes returns the vertex count.
@@ -191,63 +203,71 @@ func (g *Graph) ShortestPath(source, target model.Config) (Path, error) {
 		return Path{}, nil
 	}
 
-	const inf = time.Duration(1<<63 - 1)
-	dist := make([]time.Duration, len(g.nodes))
-	hops := make([]int, len(g.nodes))
-	prev := make([]int, len(g.nodes)) // predecessor node index
-	via := make([]Edge, len(g.nodes)) // edge used to reach node
-	done := make([]bool, len(g.nodes))
-	for i := range dist {
-		dist[i] = inf
-		prev[i] = -1
+	if path, ok := g.dijkstra(si, ti, nil, true); ok {
+		return path, nil
 	}
-	dist[si] = 0
+	return Path{}, &ErrNoPath{Source: g.reg.BitVector(source), Target: g.reg.BitVector(target)}
+}
 
-	pq := &nodeHeap{}
-	heap.Push(pq, nodeDist{node: si, dist: 0})
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(nodeDist)
-		u := cur.node
-		if done[u] {
+// dijkstra searches from node si to node ti over the edges banned does not
+// exclude (nil excludes none) and reports whether ti was reached. With
+// tieBreak a tied distance goes to fewer hops, then the smaller action ID
+// (ShortestPath's rule); without, the first path found keeps it.
+func (g *Graph) dijkstra(si, ti int, banned *banSet, tieBreak bool) (Path, bool) {
+	nodes := make([]searchNode, len(g.nodes)) // one allocation for every node's state
+	for i := range nodes {
+		nodes[i] = searchNode{dist: unreached, prev: -1}
+	}
+	nodes[si].dist = 0
+	pq := make(nodeHeap, 0, len(g.nodes))
+	pq.push(nodeDist{node: si, dist: 0})
+	for len(pq) > 0 {
+		u := pq.pop().node
+		if nodes[u].done {
 			continue
 		}
-		done[u] = true
+		nodes[u].done = true
 		if u == ti {
 			break
 		}
 		for _, e := range g.out[u] {
 			v := g.index[e.To]
-			if done[v] {
+			n := &nodes[v]
+			if n.done || banned.excludes(e) {
 				continue
 			}
-			nd := dist[u] + e.Action.Cost
-			nh := hops[u] + 1
-			better := nd < dist[v] ||
-				(nd == dist[v] && nh < hops[v]) ||
-				(nd == dist[v] && nh == hops[v] && prev[v] >= 0 && e.Action.ID < via[v].Action.ID)
+			nd := nodes[u].dist + e.Action.Cost
+			nh := nodes[u].hops + 1
+			better := nd < n.dist || (tieBreak && nd == n.dist &&
+				(nh < n.hops || (nh == n.hops && n.prev >= 0 && e.Action.ID < n.via.Action.ID)))
 			if better {
-				dist[v] = nd
-				hops[v] = nh
-				prev[v] = u
-				via[v] = e
-				heap.Push(pq, nodeDist{node: v, dist: nd})
+				*n = searchNode{dist: nd, hops: nh, prev: u, via: e}
+				pq.push(nodeDist{node: v, dist: nd})
 			}
 		}
 	}
-	if dist[ti] == inf {
-		return Path{}, &ErrNoPath{Source: g.reg.BitVector(source), Target: g.reg.BitVector(target)}
+	if nodes[ti].dist == unreached {
+		return Path{}, false
 	}
+	steps := make([]Edge, nodes[ti].hops)
+	for at, i := ti, len(steps)-1; i >= 0; at, i = nodes[at].prev, i-1 {
+		steps[i] = nodes[at].via
+	}
+	return Path{Steps: steps}, true
+}
 
-	// Reconstruct.
-	var rev []Edge
-	for at := ti; at != si; at = prev[at] {
-		rev = append(rev, via[at])
-	}
-	steps := make([]Edge, len(rev))
-	for i := range rev {
-		steps[i] = rev[len(rev)-1-i]
-	}
-	return Path{Steps: steps}, nil
+// unreached is the distance of a node no search has reached.
+const unreached = time.Duration(1<<63 - 1)
+
+// searchNode is one node's Dijkstra state: distance and hop count from the
+// source, the predecessor and the edge taken from it, and whether the
+// node is settled.
+type searchNode struct {
+	dist time.Duration
+	hops int
+	prev int
+	via  Edge
+	done bool
 }
 
 // nodeDist is a priority-queue entry.
@@ -256,16 +276,42 @@ type nodeDist struct {
 	dist time.Duration
 }
 
+// nodeHeap is a binary min-heap of nodeDist ordered by dist. push and pop
+// sift exactly as container/heap does, so equal distances pop in the same
+// order and every plan is unchanged; typed, an entry is never boxed.
 type nodeHeap []nodeDist
 
-func (h nodeHeap) Len() int           { return len(h) }
-func (h nodeHeap) Less(i, j int) bool { return h[i].dist < h[j].dist }
-func (h nodeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x any)        { *h = append(*h, x.(nodeDist)) }
-func (h *nodeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *nodeHeap) push(x nodeDist) {
+	*h = append(*h, x)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || q[j].dist >= q[i].dist {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *nodeHeap) pop() nodeDist {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].dist < q[j].dist {
+			j = j2
+		}
+		if q[j].dist >= q[i].dist {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }

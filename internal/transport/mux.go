@@ -550,6 +550,7 @@ func (c *MuxClient) send(from string, frame protocol.Message) error {
 	conn := c.conn
 	buffered := conn == nil && !c.closed && len(c.pending) < maxMuxPending
 	if buffered {
+		frame.Batch = slices.Clone(frame.Batch) // a batch is borrowed (BatchSender)
 		c.pending = append(c.pending, frame)
 	}
 	c.mu.Unlock()

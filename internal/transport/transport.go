@@ -43,7 +43,9 @@ type Endpoint interface {
 // message (a dead link loses only that link's share, which the protocol
 // already treats as message loss) and returns the first error seen.
 // Implementations must preserve the slice's order within each link so the
-// deterministic sorted send order survives batching.
+// deterministic sorted send order survives batching. The slice is borrowed
+// for the call — the manager refills it for its next wave — so an
+// implementation that keeps messages past the call copies them.
 type BatchSender interface {
 	SendBatch(msgs []protocol.Message) error
 }
@@ -161,6 +163,9 @@ func (b *Bus) deliver(msg protocol.Message) error {
 		return nil
 	}
 	tel.Counter("transport.messages.delayed").Inc()
+	// Only this branch's copy is captured by the goroutine, so only a
+	// delayed message moves to the heap.
+	late := msg
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
@@ -168,7 +173,7 @@ func (b *Bus) deliver(msg protocol.Message) error {
 		defer timer.Stop()
 		select {
 		case <-timer.C:
-			dst.push(msg)
+			dst.push(late)
 		case <-dst.done:
 		}
 	}()
