@@ -106,6 +106,69 @@ func TestJournalCommandJSON(t *testing.T) {
 	}
 }
 
+// writeInFlightJournal writes a log cut mid-adaptation: its first step
+// completed, acknowledged on the reset, adapt and resume waves, and its
+// second step is in flight with one of its two resets acknowledged.
+func writeInFlightJournal(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "manager.journal")
+	j, err := journal.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := protocol.Step{ActionID: "A1", PathIndex: 0, Attempt: 1, Participants: []string{"server", "laptop"}, FromVector: "1100", ToVector: "0110"}
+	second := protocol.Step{ActionID: "A2", PathIndex: 1, Attempt: 2, Participants: []string{"laptop", "handheld"}, FromVector: "0110", ToVector: "0011"}
+	recs := []journal.Record{
+		{Epoch: 1, Kind: journal.KindEpoch},
+		{Epoch: 1, Kind: journal.KindAdaptBegin, Source: "1100", Target: "0011"},
+		{Epoch: 1, Kind: journal.KindPlan, Detail: "A1 -> A2"},
+		{Epoch: 1, Kind: journal.KindStepBegin, Step: first},
+	}
+	for _, wave := range []string{"reset", "adapt", "resume"} {
+		if wave == "resume" {
+			recs = append(recs, journal.Record{Epoch: 1, Kind: journal.KindPoNR, Step: first})
+		}
+		for _, p := range first.Participants {
+			recs = append(recs, journal.Record{Epoch: 1, Kind: journal.KindAck, Step: first, Wave: wave, Process: p})
+		}
+	}
+	recs = append(recs,
+		journal.Record{Epoch: 1, Kind: journal.KindStepEnd, Step: first, Outcome: "completed"},
+		journal.Record{Epoch: 1, Kind: journal.KindStepBegin, Step: second},
+		journal.Record{Epoch: 1, Kind: journal.KindAck, Step: second, Wave: "reset", Process: "laptop"})
+	for _, r := range recs {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestJournalCommandGolden pins what the operator reads, as text and as
+// JSON, for a log cut mid-step: the in-flight step's acknowledgements and
+// no other step's.
+func TestJournalCommandGolden(t *testing.T) {
+	path := writeInFlightJournal(t)
+	for golden, args := range map[string][]string{
+		"testdata/journal-inflight.txt":  {"journal", path},
+		"testdata/journal-inflight.json": {"journal", "-json", path},
+	} {
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.ReplaceAll(runCmd(t, args...), path, "manager.journal"); got != string(want) {
+			t.Errorf("%v differs from %s:\n%s", args[:len(args)-1], golden, got)
+		}
+	}
+}
+
 func TestJournalCommandErrors(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"journal"}, &sb); err == nil {
