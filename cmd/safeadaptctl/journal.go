@@ -42,6 +42,13 @@ func journalCmd(args []string, out io.Writer) error {
 		return err
 	}
 	st := journal.Replay(recs)
+	// The fold keeps a wave an earlier step was acknowledged on, emptied;
+	// the operator is shown the in-flight step's acknowledgements only.
+	for wave, procs := range st.Acked {
+		if len(procs) == 0 {
+			delete(st.Acked, wave)
+		}
+	}
 
 	if *asJSON {
 		doc := struct {

@@ -303,7 +303,7 @@ func (a *Agent) transition(to State, cause string) {
 	})
 	a.state = to
 	a.mu.Unlock()
-	if a.tel.Enabled() {
+	if a.tel.Flight().Enabled() {
 		a.flightEvent(telemetry.FlightState, from.String()+" -> "+to.String()+" ("+stepKey+"): "+cause)
 	}
 }

@@ -55,14 +55,20 @@ func (a *Agent) flightEvent(kind, detail string) {
 // and parented under the manager-side span named by tc (the remote parent
 // propagated in the command that caused this work). A zero tc leaves the
 // span a root. With telemetry off it returns nil before building the name
-// or the attributes: nil telemetry formats nothing.
+// or the attributes: nil telemetry formats nothing. The adopted step's key
+// was formatted when the step was adopted; only another step's is
+// formatted here.
 func (a *Agent) startSpan(name, actionID string, step protocol.Step, tc protocol.TraceContext) *telemetry.Span {
 	if !a.tel.Enabled() {
 		return nil
 	}
+	key := a.curKey
+	if !a.haveStep || !sameStep(step, a.curStep) {
+		key = step.Key()
+	}
 	s := a.tel.StartSpan(name+actionID,
 		telemetry.String("agent", a.name),
-		telemetry.String("step", step.Key()))
+		telemetry.String("step", key))
 	s.SetNode(a.name)
 	s.SetRemoteParent(tc.Origin, tc.SpanID)
 	return s

@@ -176,7 +176,9 @@ type State struct {
 	// rollback (idempotent on the agents).
 	RollbackDecided bool
 	// Acked maps wave → the processes whose acknowledgement of the
-	// in-flight step was journaled, e.g. Acked["resume"].
+	// in-flight step was journaled, e.g. Acked["resume"]. A new step empties
+	// the sets in place, so a wave an earlier step was acknowledged on may
+	// map to an empty set.
 	Acked map[string]map[string]bool
 }
 
@@ -184,7 +186,9 @@ type State struct {
 // over the log, which makes the state prefix-monotone by construction: a
 // hot standby applying records as they stream in holds, at every record
 // boundary, exactly the state a cold Replay of that prefix would produce —
-// the property that lets takeover skip file replay entirely.
+// the property that lets takeover skip file replay entirely. Apply reuses
+// the acknowledgement sets it holds; Clone is the copy that does not
+// change under a later Apply.
 func (st *State) Apply(r Record) {
 	if st.Acked == nil {
 		st.Acked = make(map[string]map[string]bool)
@@ -204,7 +208,7 @@ func (st *State) Apply(r Record) {
 		st.PastPoNR = false
 		st.RollbackDecided = false
 		st.Plan = ""
-		st.Acked = make(map[string]map[string]bool)
+		st.clearAcks()
 	case KindPlan:
 		st.Plan = r.Detail
 	case KindStepBegin:
@@ -213,7 +217,7 @@ func (st *State) Apply(r Record) {
 		st.LastStep = &step
 		st.PastPoNR = false
 		st.RollbackDecided = false
-		st.Acked = make(map[string]map[string]bool)
+		st.clearAcks()
 	case KindAck:
 		if st.Step != nil && sameStep(r.Step, *st.Step) {
 			if st.Acked[r.Wave] == nil {
@@ -257,6 +261,14 @@ func (st *State) Apply(r Record) {
 		st.Step = nil
 		st.PastPoNR = false
 		st.RollbackDecided = false
+	}
+}
+
+// clearAcks forgets every acknowledgement, keeping the sets for the next
+// step's.
+func (st *State) clearAcks() {
+	for _, procs := range st.Acked {
+		clear(procs)
 	}
 }
 

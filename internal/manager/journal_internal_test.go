@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/journal"
@@ -39,5 +40,23 @@ func TestJournalFormatsNoRecordWithoutFlightRecorder(t *testing.T) {
 	recording.AttachFlight(telemetry.NewFlightRecorder("manager", 0))
 	if with := allocs(recording); with <= bare {
 		t.Errorf("journal() allocates %.0f with a flight recorder attached, no more than the %.0f without: the record never reaches it", with, bare)
+	}
+}
+
+// TestTransitionDetailsAreBounded: a transition's detail reads "from -> to:
+// cause" whether it was kept or formatted afresh, and ten times maxDetails
+// distinct edges, each walked twice, leave the manager keeping maxDetails.
+func TestTransitionDetailsAreBounded(t *testing.T) {
+	var m Manager
+	for i := 0; i < 10*maxDetails; i++ {
+		e := edge{StateRunning, StatePreparing, fmt.Sprintf("cause %d", i)}
+		for walk := 0; walk < 2; walk++ {
+			if got, want := m.detail(e), "running -> preparing: "+e.cause; got != want {
+				t.Fatalf("edge %d walk %d: detail %q, want %q", i, walk, got, want)
+			}
+		}
+	}
+	if len(m.details) != maxDetails {
+		t.Fatalf("the manager keeps %d details after %d distinct edges, want %d", len(m.details), 10*maxDetails, maxDetails)
 	}
 }

@@ -238,10 +238,11 @@ type Manager struct {
 	opts Options
 	tel  *telemetry.Registry // nil-safe; mirrors opts.Telemetry
 
-	mu    sync.Mutex
-	state State
-	trace []Transition
-	busy  bool
+	mu      sync.Mutex
+	state   State
+	trace   []Transition
+	details map[edge]string // see detail
+	busy    bool
 
 	// traceSeq numbers adaptations for causal trace IDs. Deterministic (a
 	// counter, not randomness or wall time) so netsim replays of the same
@@ -459,6 +460,10 @@ func (m *Manager) Trace() []Transition {
 // (audit.ManagerTrace) and holds the latest adaptation whole.
 const maxTrace = 4096
 
+// maxDetails bounds the transition details a Manager keeps formatted. Every
+// cause is a literal, so the edges number a few dozen.
+const maxDetails = 64
+
 func (m *Manager) transition(to State, cause string) {
 	m.mu.Lock()
 	from := m.state
@@ -467,15 +472,39 @@ func (m *Manager) transition(to State, cause string) {
 	}
 	m.trace = append(m.trace, Transition{From: from, To: to, Cause: cause, At: m.opts.Clock.Now()})
 	m.state = to
+	var detail string
+	if m.tel.Enabled() {
+		detail = m.detail(edge{from, to, cause})
+	}
 	m.mu.Unlock()
 	m.tel.Counter("manager.transitions").Inc()
 	if m.tel.Enabled() {
-		// Concatenation instead of Eventf: transitions fire several times
-		// per step and fmt dominated the live-registry overhead profile.
-		detail := from.String() + " -> " + to.String() + ": " + cause
 		m.tel.Event("manager.state", detail)
 		m.flightEvent(telemetry.FlightState, detail)
 	}
+}
+
+// edge is one transition of the manager's state machine.
+type edge struct {
+	from, to State
+	cause    string
+}
+
+// detail returns the edge's "from -> to: cause", formatted on the edge's
+// first walk; past maxDetails edges it is formatted afresh. Called under
+// m.mu.
+func (m *Manager) detail(e edge) string {
+	if d, ok := m.details[e]; ok {
+		return d
+	}
+	d := e.from.String() + " -> " + e.to.String() + ": " + e.cause
+	if len(m.details) < maxDetails {
+		if m.details == nil {
+			m.details = make(map[edge]string)
+		}
+		m.details[e] = d
+	}
+	return d
 }
 
 // logf emits a progress line to the Logf callback and, in the same call,

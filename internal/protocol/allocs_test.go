@@ -65,15 +65,32 @@ func TestDecoderNextAllocs(t *testing.T) {
 		t.Errorf("a reply in steady state costs %.1f allocations, want at most 2", n)
 	}
 
-	// Two resets of different steps in turn: each is first-seen again by
-	// the time it comes round, the names are not.
+	// Two resets in turn of one step shape at two path positions, under
+	// two traces: the decoder keeps the shape, so each costs its trace id.
 	other := g[MsgReset-1]
 	other.Step.PathIndex++
 	other.Trace.TraceID = "adapt-000018"
 	resets := NewDecoder(&loop{frames: frames(g[MsgReset-1], other)})
 	next(resets)
 	next(resets)
-	if n := testing.AllocsPerRun(200, func() { next(resets) }); n > 4 {
-		t.Errorf("a reset with a step not seen before costs %.1f allocations, want at most 4", n)
+	if n := testing.AllocsPerRun(200, func() { next(resets) }); n > 1 {
+		t.Errorf("a reset of a step shape seen before costs %.1f allocations, want at most 1", n)
+	}
+}
+
+// TestStepShapeDecodeAllocs: the second attempt of a step, decoded by the
+// reader that decoded the first, costs nothing.
+func TestStepShapeDecodeAllocs(t *testing.T) {
+	step := goldenStep()
+	var in Interner
+	first := NewReader(AppendStep(nil, &step), &in)
+	first.Step()
+	step.Attempt++
+	raw := AppendStep(nil, &step)
+	if n := testing.AllocsPerRun(100, func() {
+		r := NewReader(raw, &in)
+		r.Step()
+	}); n != 0 {
+		t.Errorf("a known step shape under a new attempt decodes in %.0f allocations, want 0", n)
 	}
 }

@@ -55,7 +55,7 @@ var fieldSpec = [numFields]struct{ name, wire string }{
 	fTo:     {"to", "name"},
 	fEpoch:  {"epoch", "uvarint"},
 	fTrace:  {"trace", "trace id (last one kept), span uvarint, origin name, lamport uvarint"},
-	fStep:   {"step", "Step layout (names; last one kept)"},
+	fStep:   {"step", "Step layout (names; each shape kept)"},
 	fError:  {"error", "string"},
 	fAgents: {"agents", "names"},
 	fProbe:  {"probe", "presence byte; state name, flags byte, the steps the flags announce"},

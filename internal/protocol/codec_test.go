@@ -236,6 +236,61 @@ func TestDecodedStepsAreShared(t *testing.T) {
 	}
 }
 
+// decodeStep reads s back from AppendStep's bytes through in (nil: none).
+func decodeStep(t *testing.T, s Step, in *Interner) Step {
+	t.Helper()
+	r := NewReader(AppendStep(nil, &s), in)
+	got := r.Step()
+	if err := r.Err(); err != nil {
+		t.Fatalf("step %s %s: %v", s.ActionID, s.Key(), err)
+	}
+	return got
+}
+
+// TestStepShapeSharedAcrossAttempts: a retry of a step, or the same step in
+// a later adaptation, differs from it only in PathIndex and Attempt. One
+// reader decodes both to the step they were, holding one set of lists.
+func TestStepShapeSharedAcrossAttempts(t *testing.T) {
+	first := goldenStep()
+	later := first
+	later.PathIndex, later.Attempt = 0, first.Attempt+40
+	var in Interner
+	a, b := decodeStep(t, first, &in), decodeStep(t, later, &in)
+	if !reflect.DeepEqual(a, first) || !reflect.DeepEqual(b, later) {
+		t.Fatalf("decoded %+v and %+v, want %+v and %+v", a, b, first, later)
+	}
+	if &a.Ops[0] != &b.Ops[0] || &a.Participants[0] != &b.Participants[0] || &a.ResetPhases[0] != &b.ResetPhases[0] {
+		t.Error("two attempts of one step shape decoded two sets of lists")
+	}
+}
+
+// TestStepShapeTableIsBounded: ten times stepCap distinct step shapes
+// through one reader, each decoded twice under two attempts, all decode as
+// they do without an Interner and leave its table at the cap; a shape
+// longer than stepMaxLen is decoded and not kept.
+func TestStepShapeTableIsBounded(t *testing.T) {
+	var in Interner
+	for i := 0; i < 10*stepCap; i++ {
+		s := goldenStep()
+		s.ActionID = fmt.Sprintf("A%d", i)
+		for _, attempt := range []int{1, 2} {
+			s.Attempt = attempt
+			if got, want := decodeStep(t, s, &in), decodeStep(t, s, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("shape %d attempt %d decoded as %+v, without an Interner %+v", i, attempt, got, want)
+			}
+		}
+	}
+	if got := len(in.steps); got != stepCap {
+		t.Fatalf("the table holds %d shapes after %d distinct ones, want the cap %d", got, 10*stepCap, stepCap)
+	}
+	var fresh Interner
+	long := goldenStep()
+	long.Participants = []string{strings.Repeat("p", stepMaxLen)}
+	if got := decodeStep(t, long, &fresh); !reflect.DeepEqual(got, long) || len(fresh.steps) != 0 {
+		t.Fatalf("a step of more than %d bytes was kept (%d shapes) or misread", stepMaxLen, len(fresh.steps))
+	}
+}
+
 // layoutTable renders the wire vocabulary the way DESIGN.md prints it.
 func layoutTable() string {
 	var b strings.Builder

@@ -16,6 +16,9 @@ func FuzzReadFrame(f *testing.F) {
 	var good bytes.Buffer
 	_ = WriteFrame(&good, Message{Type: MsgReset, From: ManagerName, To: "handheld"})
 	f.Add(good.Bytes())
+	for _, frame := range retryFrames(f) {
+		f.Add(frame)
+	}
 	f.Add([]byte{0, 0, 0, 1, '{'})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{})
@@ -37,6 +40,31 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatal("round trip mismatch")
 		}
 	})
+}
+
+// retryFrames are frames that each decode one step shape twice, under two
+// attempts: a batch of a reset and its retry, and a probe ack whose agent
+// holds a retry of the step it last completed.
+func retryFrames(tb testing.TB) [][]byte {
+	step := goldenStep()
+	retry := step
+	retry.Attempt++
+	var frames [][]byte
+	for _, msg := range []Message{
+		{Type: MsgBatch, From: ManagerName, To: "coordinator-0", Epoch: 3, Batch: []Message{
+			{Type: MsgReset, From: ManagerName, To: "handheld", Step: step, Epoch: 3},
+			{Type: MsgReset, From: ManagerName, To: "handheld", Step: retry, Epoch: 3},
+		}},
+		{Type: MsgProbeAck, From: "server", To: ManagerName, Step: retry, Epoch: 4,
+			Probe: &ProbeInfo{State: "safe", Step: &retry, LastDone: &step}},
+	} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, msg); err != nil {
+			tb.Fatal(err)
+		}
+		frames = append(frames, buf.Bytes())
+	}
+	return frames
 }
 
 // msgGen draws a Message from fuzz input. Strings come from a small
@@ -154,6 +182,9 @@ func FuzzCodecMatchesJSON(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+	}
+	for _, frame := range retryFrames(f) {
+		f.Add(frame)
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))

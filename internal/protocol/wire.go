@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -56,17 +55,18 @@ func AppendStep(b []byte, s *Step) []byte {
 
 // Interner is what one reader of a stream remembers between the bodies it
 // decodes, so that the handful of names a deployment speaks in — endpoints,
-// action ids, components, bit vectors, record kinds — and the step every
-// message and record of a round repeats are materialised once and shared.
-// The table is bounded: past internCap entries, or for a string longer
-// than internMaxLen, a string is simply allocated, so a hostile peer can
-// fill it but not grow it. The zero value is ready; an Interner belongs to
-// one goroutine.
+// action ids, components, bit vectors, record kinds — and the step shapes
+// every adaptation repeats are materialised once and shared. A step's shape
+// is all of it but its PathIndex and Attempt. Both tables are bounded: past
+// internCap names or stepCap shapes, or for a name longer than internMaxLen
+// or a shape longer than stepMaxLen, the value is simply decoded afresh, so
+// a hostile peer can fill a table but not grow it. The zero value is ready;
+// an Interner belongs to one goroutine.
 type Interner struct {
 	names map[string]string
-	// The last step that cost anything to decode, and its bytes.
-	stepRaw []byte
-	step    Step
+	// Decoded steps that cost anything to decode, by the bytes of their
+	// shape; a hit takes PathIndex and Attempt from the bytes it reads.
+	steps map[string]Step
 	// The last trace id (one per adaptation, so never worth a table entry).
 	trace string
 }
@@ -74,6 +74,8 @@ type Interner struct {
 const (
 	internCap    = 256
 	internMaxLen = 64
+	stepCap      = 64
+	stepMaxLen   = 4 << 10
 )
 
 func (in *Interner) intern(b []byte) string {
@@ -252,26 +254,38 @@ func (r *Reader) TraceID() string {
 }
 
 // Step reads a step in AppendStep's layout. A decoded step is immutable
-// and shared: with an Interner, the messages and records of one round all
-// hold the same Ops, Participants and ResetPhases, and whoever wants to
-// change one copies it first — the rule PackBatch's hoist already relies on.
+// and shared: with an Interner, every step of one shape read from a stream
+// — the messages and records of a round, and the same step in every later
+// adaptation and attempt — holds the same Ops, Participants and
+// ResetPhases, and whoever wants to change one copies it first — the rule
+// PackBatch's hoist already relies on.
 func (r *Reader) Step() Step {
 	walk := *r
 	walk.dry = true
-	walk.step()
-	raw := r.b[:len(r.b)-len(walk.b)]
-	if r.in != nil && !walk.bad && bytes.Equal(raw, r.in.stepRaw) {
-		r.b = walk.b
-		return r.in.step
+	ids := walk.step()
+	var shape []byte
+	if r.in != nil && !walk.bad {
+		head := *r
+		head.Int()
+		head.Int()
+		shape = head.b[:len(head.b)-len(walk.b)]
+		if s, ok := r.in.steps[string(shape)]; ok {
+			r.b = walk.b
+			s.PathIndex, s.Attempt = ids.PathIndex, ids.Attempt
+			return s
+		}
 	}
 	if !walk.bad && walk.names > 0 {
 		r.slab = make([]string, walk.names)
 	}
 	s := r.step()
 	r.slab = nil
-	if r.in != nil && !r.bad && len(s.Ops)+len(s.Participants)+len(s.ResetPhases) > 0 {
-		r.in.stepRaw = append(r.in.stepRaw[:0], raw...)
-		r.in.step = s
+	if shape != nil && !r.bad && len(s.Ops)+len(s.Participants)+len(s.ResetPhases) > 0 &&
+		len(r.in.steps) < stepCap && len(shape) <= stepMaxLen {
+		if r.in.steps == nil {
+			r.in.steps = make(map[string]Step)
+		}
+		r.in.steps[string(shape)] = s
 	}
 	return s
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -112,21 +113,27 @@ func (fw *frameWriter) write(f frame) (int, error) {
 }
 
 // frameReader reads frames from one connection through one buffered
-// reader, one reused body buffer and one Interner: the records of a round
-// repeat a handful of names and one step, which the standby materialises
-// once.
+// reader, one reused body buffer, one reused record slice and one
+// Interner: the records of a round repeat a handful of names and one step,
+// which the standby materialises once.
 type frameReader struct {
 	r    *bufio.Reader
 	hdr  [frameHeader]byte
 	body []byte
+	recs []journal.Record
 	in   protocol.Interner
 }
+
+// maxKeptRecs is the most records a frameReader keeps room for between
+// frames: a commit's batch fits, and a snapshot's slice is let go.
+const maxKeptRecs = 32
 
 func newFrameReader(r io.Reader) *frameReader {
 	return &frameReader{r: bufio.NewReader(r)}
 }
 
-// read reads one frame, verifying length and checksum.
+// read reads one frame, verifying length and checksum. The frame's Recs
+// are valid until the next read, which may refill them.
 func (fr *frameReader) read() (frame, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return frame{}, err // io.EOF passes through for clean shutdown
@@ -143,12 +150,16 @@ func (fr *frameReader) read() (frame, error) {
 	if crc32.ChecksumIEEE(fr.body) != sum {
 		return frame{}, fmt.Errorf("replica: frame checksum mismatch")
 	}
-	return decodeFrame(fr.body, &fr.in)
+	f, err := decodeFrame(fr.body, &fr.in, fr.recs)
+	if c := cap(f.Recs); c > cap(fr.recs) && c <= maxKeptRecs {
+		fr.recs = f.Recs
+	}
+	return f, err
 }
 
-// decodeFrame decodes a checksummed frame body. Nothing it returns
-// aliases body.
-func decodeFrame(body []byte, in *protocol.Interner) (frame, error) {
+// decodeFrame decodes a checksummed frame body, into recs' memory when the
+// records fit. Nothing it returns aliases body.
+func decodeFrame(body []byte, in *protocol.Interner, recs []journal.Record) (frame, error) {
 	d := protocol.NewReader(body[1:], in)
 	f := frame{
 		Type: frameType(body[0]), Name: d.String(), Rank: int(d.Varint()),
@@ -157,7 +168,7 @@ func decodeFrame(body []byte, in *protocol.Interner) (frame, error) {
 	// A record's frame is at least its header, which keeps a hostile
 	// count from sizing the allocation.
 	if n := d.Count(frameHeader); n > 0 {
-		f.Recs = make([]journal.Record, n)
+		f.Recs = slices.Grow(recs[:0], n)[:n]
 	}
 	for i := range f.Recs {
 		rec, n, err := journal.DecodeFrameWith(in, d.Rest())

@@ -81,7 +81,8 @@ func (r *Registry) SetActiveTrace(id string) {
 }
 
 // AdoptActiveTrace is SetActiveTrace that skips the store when the trace
-// is already current — the per-message hot path on agents.
+// is already current — the per-message hot path on agents, which then
+// allocates nothing.
 func (r *Registry) AdoptActiveTrace(id string) {
 	if r == nil || id == "" {
 		return
@@ -89,7 +90,8 @@ func (r *Registry) AdoptActiveTrace(id string) {
 	if p := r.activeTrace.Load(); p != nil && *p == id {
 		return
 	}
-	r.activeTrace.Store(&id)
+	adopted := id // the heap copy the store needs, made only on a new trace
+	r.activeTrace.Store(&adopted)
 }
 
 // ActiveTrace returns the current adaptation trace ID ("" when none).

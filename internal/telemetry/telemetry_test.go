@@ -323,3 +323,19 @@ func TestPromName(t *testing.T) {
 		}
 	}
 }
+
+// TestAdoptCurrentTraceAllocs: an agent adopts the trace of every message
+// it receives, and all but the first of an adaptation carry the trace
+// already current, which costs nothing; a new trace is adopted.
+func TestAdoptCurrentTraceAllocs(t *testing.T) {
+	r := NewRegistry()
+	id := fmt.Sprintf("adapt-%06d", 17)
+	r.AdoptActiveTrace(id)
+	if n := testing.AllocsPerRun(100, func() { r.AdoptActiveTrace(id) }); n != 0 {
+		t.Errorf("adopting the current trace allocates %.0f times, want 0", n)
+	}
+	r.AdoptActiveTrace("adapt-000018")
+	if got := r.ActiveTrace(); got != "adapt-000018" {
+		t.Errorf("active trace %q after adopting a new one", got)
+	}
+}
