@@ -20,6 +20,7 @@ type fakeProc struct {
 	calls       []string
 	resetErr    error
 	resetSleep  time.Duration
+	resetHook   func(ctx context.Context) error // when set, Reset is this
 	inActionErr error
 	resumeErrs  int // fail Resume this many times
 	postErr     error
@@ -48,6 +49,9 @@ func (f *fakeProc) PreAction(protocol.Step, []action.Op) error {
 
 func (f *fakeProc) Reset(ctx context.Context, _ protocol.Step) error {
 	f.record("reset")
+	if f.resetHook != nil {
+		return f.resetHook(ctx)
+	}
 	if f.resetSleep > 0 {
 		select {
 		case <-ctx.Done():
