@@ -70,7 +70,10 @@ type LocalProcess interface {
 	// Reset returns once the process is held safely blocked. It must
 	// honor ctx: when ctx is cancelled (fail-to-reset timeout), Reset
 	// must abandon the attempt, restore full operation, and return
-	// ctx.Err().
+	// ctx.Err(). That is the whole contract: ctx has a deadline
+	// ResetTimeout after the reset began, reports DeadlineExceeded once it
+	// passes and Canceled once Reset has returned. The agent re-arms one
+	// timer for every reset; context.AfterFunc on ctx starts no goroutine.
 	Reset(ctx context.Context, step protocol.Step) error
 
 	// InAction atomically alters the process structure (paper: the
@@ -171,6 +174,12 @@ type Agent struct {
 	// vacuously.
 	lastDone protocol.Step
 	haveDone bool
+
+	// The reset deadline (deadline.go), under mu: the timer, the reset it
+	// is armed for, the armings whose firing has neither run nor stopped.
+	rtimer *time.Timer
+	rcur   *resetCtx
+	rarmed int
 
 	stop chan struct{}
 	done chan struct{}
@@ -280,6 +289,11 @@ func (a *Agent) Close() {
 		close(a.stop)
 	}
 	<-a.done
+	a.mu.Lock()
+	if a.rtimer != nil {
+		a.rtimer.Stop()
+	}
+	a.mu.Unlock()
 }
 
 // maxTrace bounds the transition trace: leaving running with this many on
@@ -550,10 +564,7 @@ func (a *Agent) handleReset(step protocol.Step, tc protocol.TraceContext) {
 	a.transition(StateResetting, `receive "reset"`)
 	resetSpan := stepSpan.Child("reset")
 	resetStart := a.opts.Clock.Now()
-	ctx, cancel := context.WithTimeout(context.Background(), a.opts.ResetTimeout)
-	err := a.proc.Reset(ctx, step)
-	cancel()
-	if err != nil {
+	if err := a.reset(step); err != nil {
 		// Fail-to-reset failure (Sec. 4.4): undo the pre-action and
 		// return to running.
 		a.tel.Counter("agent.reset.failures").Inc()
@@ -720,9 +731,7 @@ func (a *Agent) handleRollback(step protocol.Step, tc protocol.TraceContext) {
 // operation resumes in the pre-step structure.
 func (a *Agent) undoCompletedStep(step protocol.Step) {
 	ops := a.localOps(step)
-	ctx, cancel := context.WithTimeout(context.Background(), a.opts.ResetTimeout)
-	defer cancel()
-	if err := a.proc.Reset(ctx, step); err != nil {
+	if err := a.reset(step); err != nil {
 		a.send(protocol.MsgResetFailed, step, fmt.Sprintf("undo: reset: %v", err))
 		return
 	}

@@ -143,7 +143,8 @@ type Options struct {
 	// realize global safe conditions (e.g. quiesce data-flow upstream
 	// processes before downstream ones). It receives the step's action
 	// and its participant processes and returns orderly phases; nil or
-	// an empty result means a single simultaneous phase.
+	// an empty result means a single simultaneous phase. participants is
+	// shared by every step of the action and must not be modified.
 	ResetPhases func(a action.Action, participants []string) [][]string
 	// Logf, when non-nil, receives progress lines. The same lines also
 	// flow into Telemetry's event stream (scope "manager"), so logs and

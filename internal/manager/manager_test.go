@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/planner"
 	"repro/internal/protocol"
 	"repro/internal/transport"
+	"repro/internal/video"
 )
 
 // scriptedProc is a LocalProcess whose failures are keyed by action ID.
@@ -526,6 +528,73 @@ func TestResetPhasesOrdering(t *testing.T) {
 	defer mu.Unlock()
 	if len(resetOrder) != 3 || resetOrder[0] != paper.ProcessServer {
 		t.Errorf("reset order = %v, want server first", resetOrder)
+	}
+}
+
+// TestPhasePolicyLeavesSharedParticipantsAlone: a step's participants are
+// the planner's, shared by every step of the action. The sender-first
+// policy conscripts the server into client-only steps; that step gets a
+// copy, and across two adaptations the planner's slices keep their
+// contents and their arrays.
+func TestPhasePolicyLeavesSharedParticipantsAlone(t *testing.T) {
+	plan, src, tgt := paperPlanner(t)
+	type shared struct {
+		participants []string
+		first        *string
+	}
+	before := map[string]shared{}
+	for _, a := range plan.Actions() {
+		ps, _, err := plan.Participants(a.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[a.ID] = shared{slices.Clone(ps), &ps[0]}
+	}
+
+	var mu sync.Mutex
+	serverResets := 0
+	s := newStack(t, plan, manager.Options{
+		ResetPhases: func(_ action.Action, participants []string) [][]string {
+			return video.SenderFirstPhases(participants)
+		},
+	})
+	s.bus.SetFault(func(msg protocol.Message) (bool, time.Duration) {
+		if msg.Type == protocol.MsgReset && msg.To == paper.ProcessServer {
+			mu.Lock()
+			serverResets++
+			mu.Unlock()
+		}
+		return false, 0
+	})
+	steps, conscripted := 0, 0
+	for range 2 {
+		res, err := s.mgr.Execute(src, tgt)
+		if err != nil || !res.Completed {
+			t.Fatalf("Execute: %v, %+v", err, res)
+		}
+		for _, st := range res.Steps {
+			steps++
+			if !slices.Contains(before[st.ActionID].participants, paper.ProcessServer) {
+				conscripted++
+			}
+		}
+	}
+	if conscripted == 0 {
+		t.Fatal("no step conscripted the server; the test checks nothing")
+	}
+	mu.Lock()
+	if serverResets != steps {
+		t.Errorf("the server was reset %d times in %d steps, want every step", serverResets, steps)
+	}
+	mu.Unlock()
+	for id, b := range before {
+		ps, wave, _ := plan.Participants(id)
+		if !slices.Equal(ps, b.participants) || &ps[0] != b.first || cap(ps) != len(ps) {
+			t.Errorf("%s: the planner's participants became %v (cap %d), want %v in the same array", id, ps, cap(ps), b.participants)
+		}
+		if len(wave) != 1 || &wave[0][0] != b.first {
+			t.Errorf("%s: the planner's wave became %v", id, wave)
+		}
 	}
 }
 

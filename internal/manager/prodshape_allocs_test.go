@@ -39,16 +39,18 @@ func (idleProc) Rollback(protocol.Step, []action.Op, bool) error { return nil }
 // the deployment we would run — agents on reconnecting TCP connections, a
 // file journal under a replication tee, one attached standby journaling to
 // its own file, live telemetry, an idle application — costs the whole
-// process at most 125 allocations. The count covers every goroutine:
+// process at most 92 allocations. The count covers every goroutine:
 // manager, agents, both ends of every connection, leader and standby. It
 // read 404.1 while the bound was 1,100, and 275.1 once a step reused its
 // wave buffers, an agent formatted a step's key once, the SAG search used a
-// typed heap and safe configurations' vectors came from the SAG. It reads
-// 112.9 since the standby empties its acknowledgement sets in place and
-// reuses its batch slice, a decoder keeps step shapes across adaptations,
-// agents format state changes only for a flight recorder and adopt a
-// current trace without storing it, and the manager formats each
-// transition's detail once (bound: + 10 %).
+// typed heap and safe configurations' vectors came from the SAG. It read
+// 112.9 once the standby emptied its acknowledgement sets in place and
+// reused its batch slice, a decoder kept step shapes across adaptations,
+// agents formatted state changes only for a flight recorder and adopted a
+// current trace without storing it, and the manager formatted each
+// transition's detail once. It reads 82.9 since each agent re-arms one
+// reset timer, the planner computes an action's participants once and an
+// agent takes a whole share of a step without copying it (bound: + 10 %).
 func TestProdShapeAdaptationAllocs(t *testing.T) {
 	const stall = 30 * time.Second // a loaded host must not fail a count
 	scenario, err := paper.NewScenario()
@@ -138,8 +140,8 @@ func TestProdShapeAdaptationAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perAdapt := float64(after.Mallocs-before.Mallocs) / measured
 	t.Logf("%.1f allocations per adaptation", perAdapt)
-	if perAdapt > 125 {
-		t.Errorf("a production-shape adaptation costs %.1f allocations, want at most 125", perAdapt)
+	if perAdapt > 92 {
+		t.Errorf("a production-shape adaptation costs %.1f allocations, want at most 92", perAdapt)
 	}
 
 	// The counts mean nothing unless the run was right: the leader's log
@@ -213,13 +215,16 @@ func busDeployment(t *testing.T, tel *telemetry.Registry) (adapt func(n int)) {
 // allocs_per_op where `go test ./...` sees it: the paper's adaptation on
 // the in-process bus with no journal, no standby, nil telemetry and an idle
 // application — manager, agents and planner with no I/O — costs the whole
-// process at most 52 allocations. It read 254.1 before nil telemetry
+// process at most 19 allocations. It read 254.1 before nil telemetry
 // stopped formatting span names and the MAP, a bus message stopped escaping,
 // the SAG search got a typed heap and a step started reusing its wave
-// buffers; it reads 47.0 since (bound: + 10 %). What is left is the
-// agents' context.WithTimeout per reset (20), what a step keeps — its
-// participants, phase, key and local operations — the plan, the step
-// reports, and the planner's safety check of source and target (2).
+// buffers, and 47.0 before each agent re-armed one reset timer instead of a
+// context.WithTimeout per reset (20 → 5), the planner computed an action's
+// participants and one-phase wave once (10 → 0) and an agent took a whole
+// share of a step without copying it (5 → 0); it reads 17.0 since (bound:
+// + 10 %). What is left is the planner's search and its safety check of
+// source and target, the plan, each step's key, each reset's context and
+// the step reports.
 func TestBusShapeAdaptationAllocs(t *testing.T) {
 	adapt := busDeployment(t, nil)
 	const warm, measured = 200, 300
@@ -230,8 +235,8 @@ func TestBusShapeAdaptationAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perAdapt := float64(after.Mallocs-before.Mallocs) / measured
 	t.Logf("%.1f allocations per adaptation", perAdapt)
-	if perAdapt > 52 {
-		t.Errorf("a bus-shape adaptation costs %.1f allocations, want at most 52", perAdapt)
+	if perAdapt > 19 {
+		t.Errorf("a bus-shape adaptation costs %.1f allocations, want at most 19", perAdapt)
 	}
 }
 

@@ -3,7 +3,7 @@ package manager
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -54,23 +54,16 @@ func (m *Manager) executeStep(ctx context.Context, parent *telemetry.Span, step 
 		stepSpan.End()
 	}()
 
-	participants, perr := step.Action.Processes(m.plan.Registry())
+	participants, phases, perr := m.plan.Participants(step.Action.ID)
 	if perr != nil {
 		rep.Outcome = "failed"
 		rep.Err = perr.Error()
 		return rep, perr
 	}
-	if len(participants) == 0 {
-		rep.Outcome = "completed"
-		return rep, nil
-	}
-
-	var phases [][]string
 	if m.opts.ResetPhases != nil {
-		phases = m.opts.ResetPhases(step.Action, participants)
-	}
-	if len(phases) == 0 {
-		phases = [][]string{participants}
+		if policy := m.opts.ResetPhases(step.Action, participants); len(policy) > 0 {
+			phases = policy
+		}
 	}
 	// The phase policy may conscript processes beyond the action's own
 	// participants — e.g. a data-flow upstream sender, so that a
@@ -78,11 +71,15 @@ func (m *Manager) executeStep(ctx context.Context, parent *telemetry.Span, step 
 	// step has landed (the global safe condition). Conscripted processes
 	// take part in the step fully: they are reset, acknowledge, and resume
 	// with everyone else; whether one with no operation blocks meanwhile
-	// is its own affair (a MetaSocket does not).
+	// is its own affair (a MetaSocket does not). participants and the
+	// one-phase wave are the planner's, shared by every step of the
+	// action: clipped, the first append copies, and only a copy is sorted.
 	seen := make(map[string]bool, len(participants))
 	for _, p := range participants {
 		seen[p] = true
 	}
+	shared := len(participants)
+	participants = slices.Clip(participants)
 	for _, phase := range phases {
 		for _, p := range phase {
 			if !seen[p] {
@@ -91,7 +88,9 @@ func (m *Manager) executeStep(ctx context.Context, parent *telemetry.Span, step 
 			}
 		}
 	}
-	sort.Strings(participants)
+	if len(participants) > shared {
+		slices.Sort(participants)
+	}
 
 	pstep := protocol.Step{
 		PathIndex:    pathIndex,

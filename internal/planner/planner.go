@@ -8,6 +8,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/action"
@@ -26,6 +27,9 @@ type Planner struct {
 	reg     *model.Registry
 	invs    *invariant.Set
 	actions []action.Action
+	// waves holds each action's one-phase reset wave, by ID; see
+	// Participants.
+	waves map[string][][]string
 
 	// tel, when non-nil, records the detection-and-setup timings the
 	// paper reports (Sec. 5.1): safe-set enumeration, SAG construction,
@@ -47,19 +51,24 @@ func New(invs *invariant.Set, actions []action.Action) (*Planner, error) {
 		return nil, fmt.Errorf("planner: nil invariant set")
 	}
 	reg := invs.Registry()
-	ids := make(map[string]bool, len(actions))
+	waves := make(map[string][][]string, len(actions))
 	for _, a := range actions {
 		if err := a.Validate(reg); err != nil {
 			return nil, fmt.Errorf("planner: %w", err)
 		}
-		if ids[a.ID] {
+		if waves[a.ID] != nil {
 			return nil, fmt.Errorf("planner: duplicate action ID %q", a.ID)
 		}
-		ids[a.ID] = true
+		ps, err := a.Processes(reg)
+		if err != nil {
+			return nil, fmt.Errorf("planner: %w", err)
+		}
+		waves[a.ID] = [][]string{slices.Clip(ps)}
 	}
 	p := &Planner{
 		reg:     reg,
 		invs:    invs,
+		waves:   waves,
 		actions: make([]action.Action, len(actions)),
 		//safeadaptvet:allow determinism -- the single injectable wall-clock seam; it only feeds latency histograms, never planning decisions
 		now: time.Now,
@@ -113,6 +122,19 @@ func (p *Planner) ActionByID(id string) (action.Action, error) {
 		}
 	}
 	return action.Action{}, fmt.Errorf("planner: unknown action %q", id)
+}
+
+// Participants returns the sorted processes whose agents take part in the
+// action with the given ID, and its one-phase reset wave
+// [][]string{participants}. Both are computed once, in New, and shared by
+// every step of the action: callers must not modify them. Their cap equals
+// their len, so an append copies.
+func (p *Planner) Participants(actionID string) (participants []string, wave [][]string, err error) {
+	wave, ok := p.waves[actionID]
+	if !ok {
+		return nil, nil, fmt.Errorf("planner: unknown action %q", actionID)
+	}
+	return wave[0], wave, nil
 }
 
 // SafeConfigs returns the safe configuration set (Sec. 4.2 step 1),

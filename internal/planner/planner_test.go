@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -32,6 +33,35 @@ func TestPlanPaperScenario(t *testing.T) {
 	}
 	if path.Cost() != paper.MAPCost || len(path.Steps) != 5 {
 		t.Errorf("Plan = %s", path)
+	}
+}
+
+// TestParticipantsSharedPerAction: every action's participants are
+// a.Processes(reg), computed once in New with cap == len, and its
+// one-phase wave holds that same slice.
+func TestParticipantsSharedPerAction(t *testing.T) {
+	p, _, _ := paperPlanner(t)
+	for _, a := range p.Actions() {
+		ps, wave, err := p.Participants(a.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := a.Processes(p.Registry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ps, want) || cap(ps) != len(ps) {
+			t.Errorf("%s: participants %v (cap %d), want %v with cap == len", a.ID, ps, cap(ps), want)
+		}
+		if len(wave) != 1 || cap(wave) != 1 || len(wave[0]) != len(ps) || &wave[0][0] != &ps[0] {
+			t.Errorf("%s: wave %v is not the one phase [participants]", a.ID, wave)
+		}
+		if again, _, _ := p.Participants(a.ID); &again[0] != &ps[0] {
+			t.Errorf("%s: participants computed again", a.ID)
+		}
+	}
+	if _, _, err := p.Participants("no such action"); err == nil {
+		t.Error("an unknown action has participants")
 	}
 }
 

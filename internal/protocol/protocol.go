@@ -8,6 +8,7 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/action"
@@ -147,19 +148,30 @@ type Step struct {
 func (s Step) Key() string { return fmt.Sprintf("%d/%d", s.PathIndex, s.Attempt) }
 
 // OpsFor returns the operations whose components are hosted on the named
-// process, according to the component→process table supplied.
+// process, according to the component→process table supplied. When every
+// operation is, that is s.Ops itself with cap == len, shared like the rest
+// of the step; otherwise a filtered copy.
 func (s Step) OpsFor(process string, processOf func(component string) string) []action.Op {
-	var out []action.Op
-	for _, op := range s.Ops {
+	local := func(op action.Op) bool {
 		name := op.Old
 		if name == "" {
 			name = op.New
 		}
-		if processOf(name) == process {
-			out = append(out, op)
-		}
+		return processOf(name) == process
 	}
-	return out
+	for i, op := range s.Ops {
+		if local(op) {
+			continue
+		}
+		out := append([]action.Op(nil), s.Ops[:i]...)
+		for _, op := range s.Ops[i+1:] {
+			if local(op) {
+				out = append(out, op)
+			}
+		}
+		return out
+	}
+	return slices.Clip(s.Ops)
 }
 
 // Message is one manager↔agent protocol message.

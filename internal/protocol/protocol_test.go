@@ -198,6 +198,43 @@ func TestStepOpsFor(t *testing.T) {
 	}
 }
 
+// TestStepOpsForAliasesAWholeShare: when a process hosts every operation
+// of a step, its share is the step's own operations with cap == len, so
+// an append cannot write into the step; a mixed step's share is a copy.
+func TestStepOpsForAliasesAWholeShare(t *testing.T) {
+	processOf := func(c string) string {
+		if strings.HasPrefix(c, "D") {
+			return "handheld"
+		}
+		return "server"
+	}
+	ops := make([]action.Op, 2, 4)
+	ops[0] = action.Op{Kind: action.Replace, Old: "D1", New: "D2"}
+	ops[1] = action.Op{Kind: action.Insert, New: "D5"}
+	whole := Step{Ops: ops}
+	got := whole.OpsFor("handheld", processOf)
+	if len(got) != 2 || cap(got) != 2 || &got[0] != &ops[0] {
+		t.Fatalf("whole share: len %d cap %d, aliases the step: %v; want the step's 2 ops, cap 2", len(got), cap(got), len(got) > 0 && &got[0] == &ops[0])
+	}
+	_ = append(got, action.Op{Kind: action.Insert, New: "D9"})
+	if spare := ops[:3][2]; spare != (action.Op{}) {
+		t.Errorf("an append to the share wrote %+v into the step's spare capacity", spare)
+	}
+
+	mixed := Step{Ops: []action.Op{
+		{Kind: action.Replace, Old: "E1", New: "E2"},
+		{Kind: action.Replace, Old: "D1", New: "D2"},
+	}}
+	hh := mixed.OpsFor("handheld", processOf)
+	if len(hh) != 1 || &hh[0] == &mixed.Ops[1] {
+		t.Fatalf("mixed share = %+v; want a copy of the one handheld op", hh)
+	}
+	hh[0].New = "D9"
+	if mixed.Ops[1].New != "D2" {
+		t.Error("writing a mixed step's share changed the step")
+	}
+}
+
 // TestPropertyFrameRoundTrip fuzzes the codec with random field values.
 func TestPropertyFrameRoundTrip(t *testing.T) {
 	f := func(typ uint8, from, to, actionID string, pathIndex, attempt int) bool {
