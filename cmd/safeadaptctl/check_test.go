@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -78,5 +81,38 @@ func TestCheckUsageMentionsCheck(t *testing.T) {
 	err := run(nil, &sb)
 	if err == nil || !strings.Contains(err.Error(), "check") {
 		t.Errorf("usage should mention check: %v", err)
+	}
+}
+
+// TestCheckTaglessTemplate: the case study with its codec tags stripped
+// declares no traffic, so check -f explores the protocol alone — and
+// exactly as many states and schedules as it always has.
+func TestCheckTaglessTemplate(t *testing.T) {
+	var sys map[string]any
+	if err := json.Unmarshal([]byte(runCmd(t, "template")), &sys); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range sys["components"].([]any) {
+		delete(c.(map[string]any), "emits")
+		delete(c.(map[string]any), "accepts")
+	}
+	data, err := json.Marshal(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tagless.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := runCmd(t, "check", "-depth", "6", "-f", path)
+	for _, want := range []string{
+		"(protocol-level model)",
+		"states explored:    10449\n",
+		"distinct schedules: 192\n",
+		"violations:         0\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("check -f over the tagless template missing %q:\n%s", want, out)
+		}
 	}
 }

@@ -631,3 +631,46 @@ func TestStepReportBlockedWindows(t *testing.T) {
 	}
 	_ = fmt.Sprintf("%v", res) // reports must be printable
 }
+
+// TestPaperResetWaves pins, for each step of the paper's MAP, the
+// participants and reset phases the manager sends under the video
+// system's sender-first policy: the server is conscripted ahead of every
+// client-only step, and the server's solo step A1 is one phase.
+func TestPaperResetWaves(t *testing.T) {
+	plan, src, tgt := paperPlanner(t)
+	var mu sync.Mutex
+	var sent []string
+	seen := map[string]bool{}
+	s := newStack(t, plan, manager.Options{
+		ResetPhases: func(_ action.Action, participants []string) [][]string {
+			return video.SenderFirstPhases(participants)
+		},
+	})
+	s.bus.SetFault(func(msg protocol.Message) (bool, time.Duration) {
+		if msg.Type == protocol.MsgReset {
+			mu.Lock()
+			if !seen[msg.Step.ActionID] {
+				seen[msg.Step.ActionID] = true
+				sent = append(sent, fmt.Sprintf("%s %v %v", msg.Step.ActionID, msg.Step.Participants, msg.Step.ResetPhases))
+			}
+			mu.Unlock()
+		}
+		return false, 0
+	})
+	res, err := s.mgr.Execute(src, tgt)
+	if err != nil || !res.Completed {
+		t.Fatalf("Execute: %v, %+v", err, res)
+	}
+	want := []string{
+		"A2 [handheld server] [[server] [handheld]]",
+		"A17 [laptop server] [[server] [laptop]]",
+		"A1 [server] [[server]]",
+		"A4 [handheld server] [[server] [handheld]]",
+		"A16 [laptop server] [[server] [laptop]]",
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(sent, want) {
+		t.Errorf("reset waves sent:\n%q\nwant:\n%q", sent, want)
+	}
+}
