@@ -50,8 +50,7 @@ import (
 // BenchmarkTable1SafeConfigSet regenerates Table 1: enumerating the safe
 // configuration set from the invariants.
 func BenchmarkTable1SafeConfigSet(b *testing.B) {
-	reg := paper.NewRegistry()
-	invs := paper.MustInvariants(reg)
+	invs := paper.MustScenario().Invariants
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		safe := invs.SafeConfigs()
@@ -64,10 +63,9 @@ func BenchmarkTable1SafeConfigSet(b *testing.B) {
 // BenchmarkTable2ActionApply regenerates Table 2's semantics: applying
 // all seventeen actions across the whole safe set.
 func BenchmarkTable2ActionApply(b *testing.B) {
-	reg := paper.NewRegistry()
-	invs := paper.MustInvariants(reg)
-	safe := invs.SafeConfigs()
-	actions := paper.Actions()
+	scenario := paper.MustScenario()
+	reg, actions := scenario.Registry, scenario.Actions
+	safe := scenario.Invariants.SafeConfigs()
 	b.ReportAllocs()
 	b.ResetTimer()
 	applied := 0

@@ -54,7 +54,10 @@ func check(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		m, label = sys.ExploreModel(), sys.Name()+" (protocol-level model)"
+		m, label = sys.ExploreModel(), sys.Name()+" (full packet model)"
+		if len(m.Flows) == 0 {
+			label = sys.Name() + " (protocol-level model)"
+		}
 	}
 
 	opts := explore.Options{Depth: *depth, MaxFaults: *faults, MaxPackets: *packets, DisableDrain: *selftest}

@@ -195,16 +195,15 @@ func serveMetrics(addr string) (*telemetry.Registry, error) {
 	return tel, nil
 }
 
+// scenario is the case study, compiled once for every role.
+var scenario = paper.MustScenario()
+
 func processOf(c string) string {
-	p, _ := paper.NewRegistry().ProcessOf(c)
+	p, _ := scenario.Registry.ProcessOf(c)
 	return p
 }
 
 func runManager(listen string, adaptAfter int, tel *telemetry.Registry) error {
-	scenario, err := paper.NewScenario()
-	if err != nil {
-		return err
-	}
 	plan, err := planner.New(scenario.Invariants, scenario.Actions)
 	if err != nil {
 		return err

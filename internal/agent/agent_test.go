@@ -121,7 +121,7 @@ func newHarness(t *testing.T, proc *fakeProc) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := paper.NewRegistry()
+	reg := paper.MustScenario().Registry
 	ag, err := agent.New(paper.ProcessHandheld, agEP, proc, agent.Options{
 		ResetTimeout: 200 * time.Millisecond,
 		ProcessOf: func(c string) string {

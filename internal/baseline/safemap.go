@@ -2,16 +2,12 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/action"
 	"repro/internal/agent"
-	"repro/internal/manager"
+	"repro/internal/core"
 	"repro/internal/paper"
-	"repro/internal/planner"
-	"repro/internal/protocol"
-	"repro/internal/transport"
 	"repro/internal/video"
 )
 
@@ -40,55 +36,11 @@ func (s SafeMAP) Adapt(sys *video.System) (Report, error) {
 	if err != nil {
 		return rep, err
 	}
-	plan, err := planner.New(scenario.Invariants, scenario.Actions)
-	if err != nil {
-		return rep, err
+	procs := make(map[string]agent.LocalProcess, 3)
+	for name, proc := range sys.Processes() {
+		procs[name] = proc
 	}
-
-	bus := transport.NewBus()
-	defer func() { _ = bus.Close() }()
-
-	mgrEP, err := bus.Endpoint(protocol.ManagerName)
-	if err != nil {
-		return rep, err
-	}
-	procs := sys.Processes()
-	processOf := func(component string) string {
-		p, perr := scenario.Registry.ProcessOf(component)
-		if perr != nil {
-			return ""
-		}
-		return p
-	}
-	names := make([]string, 0, len(procs))
-	for name := range procs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var agents []*agent.Agent
-	for _, name := range names {
-		proc := procs[name]
-		ep, err := bus.Endpoint(name)
-		if err != nil {
-			return rep, err
-		}
-		ag, err := agent.New(name, ep, proc, agent.Options{
-			ResetTimeout: stepTimeout,
-			ProcessOf:    processOf,
-		})
-		if err != nil {
-			return rep, err
-		}
-		agents = append(agents, ag)
-		go ag.Run()
-	}
-	defer func() {
-		for _, ag := range agents {
-			ag.Close()
-		}
-	}()
-
-	mgr, err := manager.New(mgrEP, plan, manager.Options{
+	d, err := core.NewDeployment(scenario.Invariants, scenario.Actions, procs, core.Options{
 		StepTimeout: stepTimeout,
 		ResetPhases: func(_ action.Action, participants []string) [][]string {
 			return video.SenderFirstPhases(participants)
@@ -98,9 +50,10 @@ func (s SafeMAP) Adapt(sys *video.System) (Report, error) {
 	if err != nil {
 		return rep, err
 	}
+	defer d.Close()
 
 	start := now()
-	res, err := mgr.Execute(scenario.Source, scenario.Target)
+	res, err := d.Adapt(scenario.Source, scenario.Target)
 	rep.Duration = since(start)
 	if err != nil {
 		return rep, fmt.Errorf("baseline: safe-map: %w", err)
@@ -111,7 +64,7 @@ func (s SafeMAP) Adapt(sys *video.System) (Report, error) {
 	for _, sr := range res.Steps {
 		// Attribute each step's blocking window to the processes its
 		// action touched.
-		a, aerr := plan.ActionByID(sr.ActionID)
+		a, aerr := d.Planner().ActionByID(sr.ActionID)
 		if aerr != nil {
 			continue
 		}

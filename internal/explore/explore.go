@@ -45,12 +45,12 @@ package explore
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/action"
 	"repro/internal/invariant"
 	"repro/internal/model"
-	"repro/internal/paper"
 	"repro/internal/planner"
 	"repro/internal/spec"
 	"repro/internal/telemetry"
@@ -91,6 +91,42 @@ type Model struct {
 	FleetFanout int
 }
 
+// ModelOf builds the exploration model of a compiled spec. When the spec
+// declares codec tags and a dataflow, packets flow down the dataflow:
+// each upstream process sends to the next, and the last sends to every
+// other process, in registry order — so the explorer also checks that no
+// critical communication segment is cut. Otherwise the model carries no
+// traffic and exploration checks the protocol-level properties alone. A
+// declared dataflow also sets the step reset-phase policy.
+func ModelOf(c *spec.Compiled) *Model {
+	m := &Model{
+		Invariants: c.Invariants,
+		Actions:    c.Actions,
+		Source:     c.Source,
+		Target:     c.Target,
+	}
+	if len(c.Dataflow) == 0 {
+		return m
+	}
+	m.ResetPhases = func(_ action.Action, participants []string) [][]string {
+		return c.ResetPhases(participants)
+	}
+	if len(c.Encodes) == 0 {
+		return m
+	}
+	last := c.Dataflow[len(c.Dataflow)-1]
+	for i := 1; i < len(c.Dataflow); i++ {
+		m.Flows = append(m.Flows, Flow{From: c.Dataflow[i-1], To: c.Dataflow[i]})
+	}
+	for _, p := range c.Registry.Processes() {
+		if !slices.Contains(c.Dataflow, p) {
+			m.Flows = append(m.Flows, Flow{From: last, To: p})
+		}
+	}
+	m.Encodes, m.Decodes = c.Encodes, c.Decodes
+	return m
+}
+
 // PaperModel returns the paper's DES-64 → DES-128 video multicast case
 // study as an exploration model.
 func PaperModel() (*Model, error) {
@@ -98,24 +134,7 @@ func PaperModel() (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Model{
-		Invariants: c.Invariants,
-		Actions:    c.Actions,
-		Source:     c.Source,
-		Target:     c.Target,
-		Flows: []Flow{
-			{From: paper.ProcessServer, To: paper.ProcessHandheld},
-			{From: paper.ProcessServer, To: paper.ProcessLaptop},
-		},
-		Encodes: map[string]string{"E1": "64", "E2": "128"},
-		Decodes: map[string][]string{
-			"D1": {"64"}, "D2": {"64", "128"}, "D3": {"128"},
-			"D4": {"64"}, "D5": {"128"},
-		},
-		ResetPhases: func(_ action.Action, participants []string) [][]string {
-			return c.ResetPhases(participants)
-		},
-	}, nil
+	return ModelOf(c), nil
 }
 
 // Options configures an Explorer.

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/spec"
 	"repro/internal/telemetry"
 )
 
@@ -158,5 +159,42 @@ func TestDeeperFaultPairs(t *testing.T) {
 	}
 	if len(rep.Violations) != 0 {
 		t.Fatalf("two-fault exploration found violations: %v", rep.Violations[0])
+	}
+}
+
+// TestModelOfFlowsDownTheDataflow: with codec tags declared, each
+// upstream process sends to the next and the last to every other process;
+// without them the model carries no traffic.
+func TestModelOfFlowsDownTheDataflow(t *testing.T) {
+	sys := &spec.System{
+		Name: "pipeline",
+		Components: []spec.ComponentSpec{
+			{Name: "E", Process: "src", Emits: "k"},
+			{Name: "R", Process: "relay", Accepts: []string{"k"}},
+			{Name: "A", Process: "sink-a", Accepts: []string{"k"}},
+			{Name: "B", Process: "sink-b", Accepts: []string{"k"}},
+		},
+		Invariants: []spec.InvariantSpec{{Name: "e", Kind: "structural", Predicate: "E"}},
+		Source:     spec.ConfigSpec{Components: []string{"E", "R", "A", "B"}},
+		Target:     spec.ConfigSpec{Components: []string{"E", "R", "A", "B"}},
+		Dataflow:   []string{"src", "relay"},
+	}
+	c, err := sys.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Flow{{"src", "relay"}, {"relay", "sink-a"}, {"relay", "sink-b"}}
+	if m := ModelOf(c); !reflect.DeepEqual(m.Flows, want) || m.Encodes["E"] != "k" || m.ResetPhases == nil {
+		t.Errorf("flows = %v, encodes = %v", m.Flows, m.Encodes)
+	}
+
+	for i := range sys.Components {
+		sys.Components[i].Emits, sys.Components[i].Accepts = "", nil
+	}
+	if c, err = sys.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	if m := ModelOf(c); m.Flows != nil || m.ResetPhases == nil {
+		t.Errorf("a tagless spec: flows = %v", m.Flows)
 	}
 }

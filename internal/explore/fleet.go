@@ -3,7 +3,6 @@ package explore
 import (
 	"fmt"
 
-	"repro/internal/action"
 	"repro/internal/paper"
 	"repro/internal/spec"
 )
@@ -27,14 +26,14 @@ func FleetModel() (*Model, error) {
 	sys := &spec.System{
 		Name: "dsn04-fleet-multicast",
 		Components: []spec.ComponentSpec{
-			{Name: "E1", Process: paper.ProcessServer, Description: "DES 64-bit encoder"},
-			{Name: "E2", Process: paper.ProcessServer, Description: "DES 128-bit encoder"},
-			{Name: "D1", Process: paper.ProcessHandheld, Description: "DES 64-bit decoder"},
-			{Name: "D2", Process: paper.ProcessHandheld, Description: "DES 128/64-bit compatible decoder"},
-			{Name: "D4", Process: paper.ProcessLaptop, Description: "DES 64-bit decoder"},
-			{Name: "D5", Process: paper.ProcessLaptop, Description: "DES 128-bit decoder"},
-			{Name: "D6", Process: "tablet", Description: "DES 64-bit decoder"},
-			{Name: "D7", Process: "tablet", Description: "DES 128-bit decoder"},
+			{Name: "E1", Process: paper.ProcessServer, Description: "DES 64-bit encoder", Emits: "des64"},
+			{Name: "E2", Process: paper.ProcessServer, Description: "DES 128-bit encoder", Emits: "des128"},
+			{Name: "D1", Process: paper.ProcessHandheld, Description: "DES 64-bit decoder", Accepts: []string{"des64"}},
+			{Name: "D2", Process: paper.ProcessHandheld, Description: "DES 128/64-bit compatible decoder", Accepts: []string{"des64", "des128"}},
+			{Name: "D4", Process: paper.ProcessLaptop, Description: "DES 64-bit decoder", Accepts: []string{"des64"}},
+			{Name: "D5", Process: paper.ProcessLaptop, Description: "DES 128-bit decoder", Accepts: []string{"des128"}},
+			{Name: "D6", Process: "tablet", Description: "DES 64-bit decoder", Accepts: []string{"des64"}},
+			{Name: "D7", Process: "tablet", Description: "DES 128-bit decoder", Accepts: []string{"des128"}},
 		},
 		Invariants: []spec.InvariantSpec{
 			{Name: "security", Kind: "structural", Predicate: "oneof(E1, E2)"},
@@ -59,25 +58,7 @@ func FleetModel() (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("explore: fleet model: %w", err)
 	}
-	return &Model{
-		Invariants: c.Invariants,
-		Actions:    c.Actions,
-		Source:     c.Source,
-		Target:     c.Target,
-		Flows: []Flow{
-			{From: paper.ProcessServer, To: paper.ProcessHandheld},
-			{From: paper.ProcessServer, To: paper.ProcessLaptop},
-			{From: paper.ProcessServer, To: "tablet"},
-		},
-		Encodes: map[string]string{"E1": "64", "E2": "128"},
-		Decodes: map[string][]string{
-			"D1": {"64"}, "D2": {"64", "128"},
-			"D4": {"64"}, "D5": {"128"},
-			"D6": {"64"}, "D7": {"128"},
-		},
-		ResetPhases: func(_ action.Action, participants []string) [][]string {
-			return c.ResetPhases(participants)
-		},
-		FleetFanout: 2,
-	}, nil
+	m := ModelOf(c)
+	m.FleetFanout = 2
+	return m, nil
 }

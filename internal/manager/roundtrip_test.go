@@ -13,7 +13,7 @@ import (
 // reversibleActions extends Table 2 with the inverse of every action, so
 // the 128-bit hardening can be undone.
 func reversibleActions() []action.Action {
-	base := paper.Actions()
+	base := paper.MustScenario().Actions
 	out := make([]action.Action, 0, 2*len(base))
 	for _, a := range base {
 		out = append(out, a)

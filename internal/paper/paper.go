@@ -1,16 +1,15 @@
-// Package paper encodes the DSN 2004 case study (Sec. 5): the video
-// multicast system's components, invariants, adaptive actions (Table 2),
-// and the expected evaluation artifacts (Table 1 safe set, Fig. 4 SAG,
-// and the minimum adaptation path). Tests, benchmarks, examples and the
-// CLI all derive the paper's tables and figures from this single source.
+// Package paper names the DSN 2004 case study (Sec. 5) and holds the
+// answers its evaluation is checked against: Table 1's safe set, Fig. 4's
+// SAG and the minimum adaptation path. The case study itself — the video
+// multicast system's components and codec tags, invariants, adaptive
+// actions (Table 2) and adaptation request — is declared once, in
+// spec.PaperSystem; NewScenario compiles it.
 package paper
 
 import (
 	"time"
 
-	"repro/internal/action"
-	"repro/internal/invariant"
-	"repro/internal/model"
+	"repro/internal/spec"
 )
 
 // Process names of the case study (Fig. 3).
@@ -18,88 +17,6 @@ const (
 	ProcessServer   = "server"
 	ProcessHandheld = "handheld"
 	ProcessLaptop   = "laptop"
-)
-
-// NewRegistry returns the case study's component registry. Registration
-// order E1,E2,D1,D2,D3,D4,D5 yields the paper's 7-bit vector notation
-// (D5,D4,D3,D2,D1,E2,E1).
-func NewRegistry() *model.Registry {
-	return model.MustRegistry(
-		model.Component{Name: "E1", Process: ProcessServer, Description: "DES 64-bit encoder"},
-		model.Component{Name: "E2", Process: ProcessServer, Description: "DES 128-bit encoder"},
-		model.Component{Name: "D1", Process: ProcessHandheld, Description: "DES 64-bit decoder"},
-		model.Component{Name: "D2", Process: ProcessHandheld, Description: "DES 128/64-bit compatible decoder"},
-		model.Component{Name: "D3", Process: ProcessHandheld, Description: "DES 128-bit decoder"},
-		model.Component{Name: "D4", Process: ProcessLaptop, Description: "DES 64-bit decoder"},
-		model.Component{Name: "D5", Process: ProcessLaptop, Description: "DES 128-bit decoder"},
-	)
-}
-
-// NewInvariants returns the case study's invariant set (Sec. 5.1):
-//
-//	resource  constraint: oneof(D1, D2, D3)   — handheld runs one decoder
-//	security  constraint: oneof(E1, E2)       — sender always encodes
-//	E1 dependency:        E1 -> (D1 | D2) & D4
-//	E2 dependency:        E2 -> (D3 | D2) & D5
-func NewInvariants(reg *model.Registry) (*invariant.Set, error) {
-	resource, err := invariant.NewStructural("resource", "oneof(D1, D2, D3)")
-	if err != nil {
-		return nil, err
-	}
-	security, err := invariant.NewStructural("security", "oneof(E1, E2)")
-	if err != nil {
-		return nil, err
-	}
-	e1dep, err := invariant.NewDependency("E1-deps", "E1 -> (D1 | D2) & D4")
-	if err != nil {
-		return nil, err
-	}
-	e2dep, err := invariant.NewDependency("E2-deps", "E2 -> (D3 | D2) & D5")
-	if err != nil {
-		return nil, err
-	}
-	return invariant.NewSet(reg, resource, security, e1dep, e2dep)
-}
-
-// MustInvariants is NewInvariants that panics on error.
-func MustInvariants(reg *model.Registry) *invariant.Set {
-	s, err := NewInvariants(reg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Actions returns Table 2: the seventeen adaptive actions with their
-// operations, costs (packet-delay milliseconds) and descriptions.
-func Actions() []action.Action {
-	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	return []action.Action{
-		action.MustNew("A1", "E1 -> E2", ms(10), "replace E1 with E2"),
-		action.MustNew("A2", "D1 -> D2", ms(10), "replace D1 with D2"),
-		action.MustNew("A3", "D1 -> D3", ms(10), "replace D1 with D3"),
-		action.MustNew("A4", "D2 -> D3", ms(10), "replace D2 with D3"),
-		action.MustNew("A5", "D4 -> D5", ms(10), "replace D4 with D5"),
-		action.MustNew("A6", "(D1, E1) -> (D2, E2)", ms(100), "A1 and A2"),
-		action.MustNew("A7", "(D1, E1) -> (D3, E2)", ms(100), "A1 and A3"),
-		action.MustNew("A8", "(D2, E1) -> (D3, E2)", ms(100), "A1 and A4"),
-		action.MustNew("A9", "(D4, E1) -> (D5, E2)", ms(100), "A1 and A5"),
-		action.MustNew("A10", "(D1, D4) -> (D2, D5)", ms(50), "A2 and A5"),
-		action.MustNew("A11", "(D1, D4) -> (D3, D5)", ms(50), "A3 and A5"),
-		action.MustNew("A12", "(D2, D4) -> (D3, D5)", ms(50), "A4 and A5"),
-		action.MustNew("A13", "(D1, D4, E1) -> (D2, D5, E2)", ms(150), "A1 and A10"),
-		action.MustNew("A14", "(D1, D4, E1) -> (D3, D5, E2)", ms(150), "A1 and A11"),
-		action.MustNew("A15", "(D2, D4, E1) -> (D3, D5, E2)", ms(150), "A1 and A12"),
-		action.MustNew("A16", "-D4", ms(10), "remove D4"),
-		action.MustNew("A17", "+D5", ms(10), "insert D5"),
-	}
-}
-
-// SourceVector and TargetVector are the case study's source and target
-// configurations in the paper's bit-vector notation (D5,D4,D3,D2,D1,E2,E1).
-const (
-	SourceVector = "0100101" // (D4, D1, E1)
-	TargetVector = "1010010" // (D5, D3, E2)
 )
 
 // Table1Vectors is the expected safe configuration set of Table 1, in the
@@ -147,37 +64,16 @@ var Figure4Edges = []string{
 	"1110010 --A16--> 1010010", // -D4
 }
 
-// Scenario bundles everything needed to reproduce the case study.
-type Scenario struct {
-	Registry   *model.Registry
-	Invariants *invariant.Set
-	Actions    []action.Action
-	Source     model.Config
-	Target     model.Config
-}
+// Scenario is the compiled case study: registry (whose registration order
+// E1,E2,D1,D2,D3,D4,D5 yields the paper's 7-bit vector notation
+// D5,D4,D3,D2,D1,E2,E1), invariants, Table 2's actions, the source →
+// target request, the codec tags and the dataflow.
+type Scenario = spec.Compiled
 
-// NewScenario constructs the full case study.
+// NewScenario compiles the case study's one declaration,
+// spec.PaperSystem.
 func NewScenario() (*Scenario, error) {
-	reg := NewRegistry()
-	invs, err := NewInvariants(reg)
-	if err != nil {
-		return nil, err
-	}
-	src, err := reg.ParseBitVector(SourceVector)
-	if err != nil {
-		return nil, err
-	}
-	tgt, err := reg.ParseBitVector(TargetVector)
-	if err != nil {
-		return nil, err
-	}
-	return &Scenario{
-		Registry:   reg,
-		Invariants: invs,
-		Actions:    Actions(),
-		Source:     src,
-		Target:     tgt,
-	}, nil
+	return spec.PaperSystem().Compile()
 }
 
 // MustScenario is NewScenario that panics on error.

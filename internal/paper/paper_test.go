@@ -13,10 +13,10 @@ func TestScenarioConsistency(t *testing.T) {
 	if len(s.Actions) != 17 {
 		t.Errorf("actions = %d", len(s.Actions))
 	}
-	if got := s.Registry.BitVector(s.Source); got != SourceVector {
+	if got := s.Registry.BitVector(s.Source); got != "0100101" { // (D4, D1, E1)
 		t.Errorf("source = %s", got)
 	}
-	if got := s.Registry.BitVector(s.Target); got != TargetVector {
+	if got := s.Registry.BitVector(s.Target); got != "1010010" { // (D5, D3, E2)
 		t.Errorf("target = %s", got)
 	}
 	for _, a := range s.Actions {
@@ -44,7 +44,7 @@ func TestTable1VectorsAreTheSafeSet(t *testing.T) {
 }
 
 func TestProcessesMatchFigure3(t *testing.T) {
-	reg := NewRegistry()
+	reg := MustScenario().Registry
 	wants := map[string]string{
 		"E1": ProcessServer, "E2": ProcessServer,
 		"D1": ProcessHandheld, "D2": ProcessHandheld, "D3": ProcessHandheld,
@@ -67,7 +67,7 @@ func TestCostsMatchTable2(t *testing.T) {
 		"A13": ms(150), "A14": ms(150), "A15": ms(150),
 		"A16": ms(10), "A17": ms(10),
 	}
-	for _, a := range Actions() {
+	for _, a := range MustScenario().Actions {
 		if a.Cost != costs[a.ID] {
 			t.Errorf("%s cost = %v, want %v", a.ID, a.Cost, costs[a.ID])
 		}

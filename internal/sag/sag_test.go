@@ -15,18 +15,12 @@ import (
 // buildPaperGraph constructs the case study's SAG.
 func buildPaperGraph(t *testing.T) (*Graph, *model.Registry, model.Config, model.Config) {
 	t.Helper()
-	reg := paper.NewRegistry()
-	invs, err := paper.NewInvariants(reg)
+	s := paper.MustScenario()
+	g, err := Build(s.Registry, s.Invariants.SafeConfigs(), s.Actions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Build(reg, invs.SafeConfigs(), paper.Actions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, _ := reg.ParseBitVector(paper.SourceVector)
-	tgt, _ := reg.ParseBitVector(paper.TargetVector)
-	return g, reg, src, tgt
+	return g, s.Registry, s.Source, s.Target
 }
 
 // TestPaperFigure4SAG reproduces Fig. 4: the SAG over Table 1's safe
@@ -248,7 +242,7 @@ func TestOutEdgesAndHasNode(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	reg := paper.NewRegistry()
+	reg := paper.MustScenario().Registry
 	if _, err := Build(nil, []model.Config{0}, nil); err == nil {
 		t.Error("nil registry should fail")
 	}

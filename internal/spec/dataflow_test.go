@@ -2,6 +2,7 @@ package spec
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -102,5 +103,17 @@ func TestCompileRejectsUnknownDataflowProcess(t *testing.T) {
 	sys.Dataflow = []string{"server", "mainframe"}
 	if _, err := sys.Compile(); err == nil {
 		t.Error("dataflow naming an unknown process must fail")
+	}
+}
+
+// TestCompileRejectsRepeatedDataflowProcess: a process named twice would
+// be reset in two phases of one step and never acknowledge the second, so
+// every downstream step would time out and roll back.
+func TestCompileRejectsRepeatedDataflowProcess(t *testing.T) {
+	sys := PaperSystem()
+	sys.Dataflow = []string{"server", "server"}
+	_, err := sys.Compile()
+	if err == nil || !strings.Contains(err.Error(), `"server"`) {
+		t.Errorf("dataflow naming server twice: err = %v, want one naming the process", err)
 	}
 }

@@ -1,15 +1,18 @@
 // Package spec defines a declarative JSON description of an adaptive
-// system — components, dependency invariants, adaptive actions, and the
-// adaptation request — and compiles it into the analysis objects
-// (registry, invariant set, actions). This is the file format consumed by
-// the safeadaptctl CLI and the programmatic entry point for downstream
-// users who prefer configuration over code.
+// system — components with their codec tags, dependency invariants,
+// adaptive actions, the adaptation request and the dataflow — and
+// compiles it into the analysis objects (registry, invariant set,
+// actions, codec tables, phase policy). This is the file format consumed
+// by the safeadaptctl CLI and the programmatic entry point for downstream
+// users who prefer configuration over code. PaperSystem is the one
+// declaration of the paper's case study.
 package spec
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/action"
@@ -17,11 +20,16 @@ import (
 	"repro/internal/model"
 )
 
-// ComponentSpec declares one adaptive component.
+// ComponentSpec declares one adaptive component. A codec component
+// declares the encoding tags its packets carry: an encoder the one tag it
+// emits, a decoder the tags it accepts. The case study's tags are the
+// cipher names ("des64", "des128").
 type ComponentSpec struct {
-	Name        string `json:"name"`
-	Process     string `json:"process"`
-	Description string `json:"description,omitempty"`
+	Name        string   `json:"name"`
+	Process     string   `json:"process"`
+	Description string   `json:"description,omitempty"`
+	Emits       string   `json:"emits,omitempty"`
+	Accepts     []string `json:"accepts,omitempty"`
 }
 
 // InvariantSpec declares one dependency relationship.
@@ -62,7 +70,7 @@ type System struct {
 	// conscripted if needed: blocked where the step changes them, left
 	// running where it does not — so downstream processes swap components
 	// once everything sent before the step has landed (the paper's global
-	// safe condition).
+	// safe condition). Each process may appear once.
 	Dataflow []string `json:"dataflow,omitempty"`
 }
 
@@ -126,6 +134,15 @@ type Compiled struct {
 	Source     model.Config
 	Target     model.Config
 	Dataflow   []string
+	// Encodes maps each encoder component to the tag it emits, and
+	// Decodes each decoder component to the tags it accepts. Both are
+	// empty when the spec declares no codec tags.
+	Encodes map[string]string
+	Decodes map[string][]string
+
+	// upstream holds one read-only phase per dataflow process, so that
+	// ResetPhases builds no per-call rank table.
+	upstream [][]string
 }
 
 // ResetPhases derives the step reset-phase policy from the declared
@@ -143,36 +160,31 @@ func (c *Compiled) ResetPhases(participants []string) [][]string {
 	if len(c.Dataflow) == 0 {
 		return nil
 	}
-	rank := make(map[string]int, len(c.Dataflow))
-	for i, p := range c.Dataflow {
-		rank[p] = i
-	}
-	maxRank := -1
-	var unranked []string
+	maxRank, downstream := -1, 0
 	for _, p := range participants {
-		if r, ok := rank[p]; ok {
-			if r > maxRank {
-				maxRank = r
-			}
-		} else {
-			unranked = append(unranked, p)
+		if r := slices.Index(c.Dataflow, p); r < 0 {
+			downstream++
+		} else if r > maxRank {
+			maxRank = r
 		}
 	}
-	if len(unranked) > 0 {
+	if downstream > 0 {
 		// Downstream leaves involved: quiesce the full upstream chain.
 		maxRank = len(c.Dataflow) - 1
-	}
-	if maxRank <= 0 && len(unranked) == 0 {
+	} else if maxRank <= 0 {
 		return nil
 	}
-	var phases [][]string
-	for i := 0; i <= maxRank; i++ {
-		phases = append(phases, []string{c.Dataflow[i]})
+	phases := c.upstream[: maxRank+1 : maxRank+1]
+	if downstream == 0 {
+		return phases
 	}
-	if len(unranked) > 0 {
-		phases = append(phases, unranked)
+	leaves := make([]string, 0, downstream)
+	for _, p := range participants {
+		if !slices.Contains(c.Dataflow, p) {
+			leaves = append(leaves, p)
+		}
 	}
-	return phases
+	return append(phases, leaves)
 }
 
 // Compile validates the description and builds the analysis objects.
@@ -181,8 +193,20 @@ func (s *System) Compile() (*Compiled, error) {
 		return nil, fmt.Errorf("spec: no components")
 	}
 	comps := make([]model.Component, len(s.Components))
+	encodes := make(map[string]string)
+	decodes := make(map[string][]string)
 	for i, cs := range s.Components {
 		comps[i] = model.Component{Name: cs.Name, Process: cs.Process, Description: cs.Description}
+		switch {
+		case cs.Emits != "" && len(cs.Accepts) > 0:
+			return nil, fmt.Errorf("spec: component %q both emits and accepts; a codec is an encoder or a decoder", cs.Name)
+		case slices.Contains(cs.Accepts, ""):
+			return nil, fmt.Errorf("spec: component %q accepts an empty tag", cs.Name)
+		case cs.Emits != "":
+			encodes[cs.Name] = cs.Emits
+		case len(cs.Accepts) > 0:
+			decodes[cs.Name] = slices.Clone(cs.Accepts)
+		}
 	}
 	reg, err := model.NewRegistry(comps...)
 	if err != nil {
@@ -238,10 +262,15 @@ func (s *System) Compile() (*Compiled, error) {
 	for _, c := range comps {
 		processes[c.Process] = true
 	}
-	for _, p := range s.Dataflow {
+	upstream := make([][]string, len(s.Dataflow))
+	for i, p := range s.Dataflow {
 		if !processes[p] {
 			return nil, fmt.Errorf("spec: dataflow names unknown process %q", p)
 		}
+		if slices.Index(s.Dataflow, p) < i {
+			return nil, fmt.Errorf("spec: dataflow names process %q twice", p)
+		}
+		upstream[i] = []string{p}
 	}
 
 	return &Compiled{
@@ -251,7 +280,10 @@ func (s *System) Compile() (*Compiled, error) {
 		Actions:    actions,
 		Source:     src,
 		Target:     tgt,
-		Dataflow:   append([]string(nil), s.Dataflow...),
+		Dataflow:   slices.Clone(s.Dataflow),
+		Encodes:    encodes,
+		Decodes:    decodes,
+		upstream:   upstream,
 	}, nil
 }
 
@@ -273,8 +305,12 @@ func Load(path string) (*System, error) {
 	return Parse(data)
 }
 
-// PaperSystem returns the case study as a declarative System — the same
-// content as internal/paper, in the file format. Useful as a template.
+// PaperSystem returns the case study (Sec. 5) as a declarative System:
+// Fig. 3's components with their codec tags, the Sec. 5.1 invariants,
+// Table 2 and the source → target request. It is the one declaration of
+// the case study; internal/paper, the explorer's model, the video
+// filters and their phase policy are all compiled from it. Useful as a
+// template.
 func PaperSystem() *System {
 	ms := func(id, op string, cost int, desc string) ActionSpec {
 		return ActionSpec{ID: id, Operation: op, CostMillis: cost, Description: desc}
@@ -282,13 +318,13 @@ func PaperSystem() *System {
 	return &System{
 		Name: "dsn04-video-multicast",
 		Components: []ComponentSpec{
-			{Name: "E1", Process: "server", Description: "DES 64-bit encoder"},
-			{Name: "E2", Process: "server", Description: "DES 128-bit encoder"},
-			{Name: "D1", Process: "handheld", Description: "DES 64-bit decoder"},
-			{Name: "D2", Process: "handheld", Description: "DES 128/64-bit compatible decoder"},
-			{Name: "D3", Process: "handheld", Description: "DES 128-bit decoder"},
-			{Name: "D4", Process: "laptop", Description: "DES 64-bit decoder"},
-			{Name: "D5", Process: "laptop", Description: "DES 128-bit decoder"},
+			{Name: "E1", Process: "server", Description: "DES 64-bit encoder", Emits: "des64"},
+			{Name: "E2", Process: "server", Description: "DES 128-bit encoder", Emits: "des128"},
+			{Name: "D1", Process: "handheld", Description: "DES 64-bit decoder", Accepts: []string{"des64"}},
+			{Name: "D2", Process: "handheld", Description: "DES 128/64-bit compatible decoder", Accepts: []string{"des64", "des128"}},
+			{Name: "D3", Process: "handheld", Description: "DES 128-bit decoder", Accepts: []string{"des128"}},
+			{Name: "D4", Process: "laptop", Description: "DES 64-bit decoder", Accepts: []string{"des64"}},
+			{Name: "D5", Process: "laptop", Description: "DES 128-bit decoder", Accepts: []string{"des128"}},
 		},
 		Invariants: []InvariantSpec{
 			{Name: "resource", Kind: "structural", Predicate: "oneof(D1, D2, D3)"},

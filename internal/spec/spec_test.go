@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -162,5 +164,27 @@ func TestParseBadJSON(t *testing.T) {
 	}
 	if _, err := Parse([]byte(`{"source": 42}`)); err == nil {
 		t.Error("numeric configuration should fail")
+	}
+}
+
+func TestCompileCodecTags(t *testing.T) {
+	c, err := PaperSystem().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Encodes["E2"] != "des128" || !reflect.DeepEqual(c.Decodes["D2"], []string{"des64", "des128"}) {
+		t.Errorf("Encodes = %v, Decodes = %v", c.Encodes, c.Decodes)
+	}
+
+	both := PaperSystem()
+	both.Components[2].Emits = "des64" // D1 already accepts des64
+	if _, err := both.Compile(); err == nil || !strings.Contains(err.Error(), `"D1"`) {
+		t.Errorf("a component that emits and accepts: err = %v", err)
+	}
+
+	empty := PaperSystem()
+	empty.Components[3].Accepts = []string{"des64", ""}
+	if _, err := empty.Compile(); err == nil || !strings.Contains(err.Error(), `"D2"`) {
+		t.Errorf("an empty accepted tag: err = %v", err)
 	}
 }

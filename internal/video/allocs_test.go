@@ -82,3 +82,24 @@ func TestPlayerDeliverAllocs(t *testing.T) {
 		t.Errorf("%v allocations per delivered frame, want the map's amortised growth only (under 1)", n)
 	}
 }
+
+// TestSenderFirstPhasesAllocs: the phase policy reads the phases compiled
+// from the declared dataflow. A client step allocates its downstream phase
+// and the wave that holds it; the server's solo step needs no order and
+// allocates nothing (it read 3 and 2 while each call ranked the dataflow
+// afresh).
+func TestSenderFirstPhasesAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		participants []string
+		max          float64
+	}{
+		{[]string{"handheld"}, 2},
+		{[]string{"handheld", "laptop", "server"}, 2},
+		{[]string{"server"}, 0},
+	} {
+		got := testing.AllocsPerRun(100, func() { SenderFirstPhases(tc.participants) })
+		if got > tc.max {
+			t.Errorf("SenderFirstPhases(%v): %v allocations, want at most %v", tc.participants, got, tc.max)
+		}
+	}
+}

@@ -42,31 +42,34 @@ type System struct {
 	LaptopSub   *netsim.Subscription
 }
 
-// FilterFactory returns the case study's component factory: component
-// names E1,E2 map to encoders and D1–D5 to decoders, built over the demo
-// keys. The factory is shared by the server and both clients.
+// declared is the case study, compiled once: its codec tags name the
+// filters FilterFactory builds and its dataflow orders SenderFirstPhases.
+var declared = paper.MustScenario()
+
+// FilterFactory returns the case study's component factory, read from the
+// declaration: each encoder component maps to an encoder with the cipher
+// its tag names, each decoder to a decoder with the ciphers its tags name,
+// built over the demo keys. The factory is shared by the server and both
+// clients.
 func FilterFactory() adapters.FilterFactory {
-	c64 := cipherkit.MustDefault64()
-	c128 := cipherkit.MustDefault128()
-	return func(name string) (metasocket.Filter, error) {
-		switch name {
-		case "E1":
-			return metasocket.NewEncoder("E1", c64), nil
-		case "E2":
-			return metasocket.NewEncoder("E2", c128), nil
-		case "D1":
-			return metasocket.NewDecoder("D1", c64), nil
-		case "D2":
-			return metasocket.NewDecoder("D2", c64, c128), nil
-		case "D3":
-			return metasocket.NewDecoder("D3", c128), nil
-		case "D4":
-			return metasocket.NewDecoder("D4", c64), nil
-		case "D5":
-			return metasocket.NewDecoder("D5", c128), nil
-		default:
-			return nil, fmt.Errorf("video: unknown component %q", name)
+	ciphers := make(map[string]*cipherkit.Cipher, 2)
+	for _, c := range []*cipherkit.Cipher{cipherkit.MustDefault64(), cipherkit.MustDefault128()} {
+		ciphers[c.Name()] = c
+	}
+	decoders := make(map[string][]*cipherkit.Cipher, len(declared.Decodes))
+	for name, tags := range declared.Decodes {
+		for _, tag := range tags {
+			decoders[name] = append(decoders[name], ciphers[tag])
 		}
+	}
+	return func(name string) (metasocket.Filter, error) {
+		if tag, ok := declared.Encodes[name]; ok {
+			return metasocket.NewEncoder(name, ciphers[tag]), nil
+		}
+		if cs, ok := decoders[name]; ok {
+			return metasocket.NewDecoder(name, cs...), nil
+		}
+		return nil, fmt.Errorf("video: unknown component %q", name)
 	}
 }
 
@@ -205,12 +208,13 @@ func (s *System) ConfigurationOf() map[string][]string {
 	}
 }
 
-// SenderFirstPhases is the reset-phase policy for the video system: the
-// data-flow upstream process (the server) takes its turn before the
-// downstream clients, so that when a client drains its link the sender is
-// either blocked or a bystander the step does not change — together they
-// realize the paper's global safe condition ("the receiver has received
-// all the datagram packets that the sender has sent").
+// SenderFirstPhases is the reset-phase policy for the video system, the
+// declared dataflow's (spec.Compiled.ResetPhases): the data-flow upstream
+// process (the server) takes its turn before the downstream clients, so
+// that when a client drains its link the sender is either blocked or a
+// bystander the step does not change — together they realize the paper's
+// global safe condition ("the receiver has received all the datagram
+// packets that the sender has sent").
 //
 // When a step touches only clients (e.g. A16, remove D4), the server is
 // conscripted anyway — to take part, not to block: packets it sent before
@@ -219,17 +223,8 @@ func (s *System) ConfigurationOf() map[string][]string {
 // what had been sent when their reset began (RecvSocket.WaitDrained) while
 // the server, which the step leaves alone, keeps streaming
 // (adapters.SocketProcess.Reset). The manager adds conscripted processes
-// to the step's participants.
+// to the step's participants. A step touching only the server (A1) needs
+// no order: nil, one simultaneous phase.
 func SenderFirstPhases(participants []string) [][]string {
-	receivers := make([]string, 0, len(participants))
-	for _, p := range participants {
-		if p != paper.ProcessServer {
-			receivers = append(receivers, p)
-		}
-	}
-	phases := [][]string{{paper.ProcessServer}}
-	if len(receivers) > 0 {
-		phases = append(phases, receivers)
-	}
-	return phases
+	return declared.ResetPhases(participants)
 }

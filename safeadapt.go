@@ -241,26 +241,13 @@ func (s *System) Deploy(procs map[string]LocalProcess, opts DeployOptions) (*Dep
 }
 
 // ExploreModel returns the system's declared adaptation request as a
-// deterministic-exploration model. The model carries no application-level
-// communication (flows and codec keys are not part of the generic spec),
-// so exploration checks the protocol-level safety properties: invariant
-// satisfaction at every all-running state, rollback discipline, deadlock
-// freedom, and audit conformance. The built-in case study's full model,
-// including the CCS packet check, is explore.PaperModel.
+// deterministic-exploration model (explore.ModelOf). A spec that declares
+// codec tags and a dataflow gets the full packet model, CCS check
+// included; one that does not is explored for the protocol-level safety
+// properties: invariant satisfaction at every all-running state, rollback
+// discipline, deadlock freedom, and audit conformance.
 func (s *System) ExploreModel() *ExploreModel {
-	m := &explore.Model{
-		Invariants: s.compiled.Invariants,
-		Actions:    s.compiled.Actions,
-		Source:     s.compiled.Source,
-		Target:     s.compiled.Target,
-	}
-	if len(s.compiled.Dataflow) > 0 {
-		compiled := s.compiled
-		m.ResetPhases = func(_ Action, participants []string) [][]string {
-			return compiled.ResetPhases(participants)
-		}
-	}
-	return m
+	return explore.ModelOf(s.compiled)
 }
 
 // Explorer builds a deterministic protocol explorer for the system's
