@@ -230,13 +230,14 @@ func run() error {
 	fmt.Printf("gateway strict ACL rejected: %d\n", aclDropped.Load())
 	fmt.Printf("auth-tagged requests hitting the basic logger (corruption): %d\n", logUntagged.Load())
 	fmt.Printf("requests delivered to the application: %d\n", delivered.Load())
-	if logUntagged.Load() == 0 {
-		fmt.Println("safe: no request was ever misclassified during the hardening")
-	}
 
 	_ = group.Close()
 	beSock.Wait()
 	gwSock.Close()
+	if n := logUntagged.Load(); n > 0 {
+		return fmt.Errorf("unsafe: %d auth-tagged requests hit the basic logger", n)
+	}
+	fmt.Println("safe: no request was ever misclassified during the hardening")
 	return nil
 }
 

@@ -84,6 +84,9 @@ func run() error {
 	}
 	fmt.Printf("adaptation completed: %v, final configuration %s\n",
 		res.Completed, sys.FormatConfig(res.Final))
+	if !res.Completed || res.Final != sys.Target() {
+		return fmt.Errorf("adaptation incomplete: stopped at %s", sys.FormatConfig(res.Final))
+	}
 	return nil
 }
 

@@ -215,9 +215,6 @@ func run() error {
 	time.Sleep(20 * time.Millisecond) // drain the two hops
 	fmt.Printf("relay chains: recv=%v send=%v\n", relayRecv.Filters(), relaySend.Filters())
 	fmt.Printf("delivered=%d mixed-version packets=%d\n", delivered.Load(), mixed.Load())
-	if mixed.Load() == 0 {
-		fmt.Println("safe: no packet ever crossed the pipeline half-upgraded")
-	}
 
 	_ = linkA.Close()
 	_ = linkB.Close()
@@ -225,5 +222,9 @@ func run() error {
 	sinkSock.Wait()
 	srcSock.Close()
 	relaySend.Close()
+	if n := mixed.Load(); n > 0 {
+		return fmt.Errorf("unsafe: %d packets crossed the pipeline half-upgraded", n)
+	}
+	fmt.Println("safe: no packet ever crossed the pipeline half-upgraded")
 	return nil
 }

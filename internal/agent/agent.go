@@ -121,17 +121,11 @@ type Options struct {
 	// of the paper) — plus failure counters. Nil disables instrumentation
 	// at zero cost.
 	Telemetry *telemetry.Registry
-	// Clock supplies the timestamps recorded in the transition trace. Nil
-	// means the wall clock; the deterministic explorer injects a logical
-	// clock.
+	// Clock supplies the timestamps recorded in the transition trace and
+	// runs the reset deadline. Nil means the wall clock; the deterministic
+	// explorer injects a virtual clock, so a fail-to-reset runs this very
+	// deadline in virtual time.
 	Clock transport.Clock
-	// LeaseTimeout, when positive, arms manager-liveness monitoring: every
-	// admitted manager message renews the lease, and if it expires while
-	// the agent is mid-step the agent applies the self-recovery rule (see
-	// ExpireLease) instead of blocking forever on a dead manager. Zero
-	// disables the monitor (the deterministic explorer triggers expiry
-	// explicitly via ExpireLease instead of racing a timer).
-	LeaseTimeout time.Duration
 }
 
 // Agent is one adaptation agent. Create with New, start with Run (usually
@@ -177,7 +171,7 @@ type Agent struct {
 
 	// The reset deadline (deadline.go), under mu: the timer, the reset it
 	// is armed for, the armings whose firing has neither run nor stopped.
-	rtimer *time.Timer
+	rtimer transport.Timer
 	rcur   *resetCtx
 	rarmed int
 
@@ -239,13 +233,6 @@ func (a *Agent) Trace() []Transition {
 // inbox closes. Call it in a dedicated goroutine.
 func (a *Agent) Run() {
 	defer close(a.done)
-	var leaseC <-chan time.Time
-	var lease *time.Timer
-	if a.opts.LeaseTimeout > 0 {
-		lease = time.NewTimer(a.opts.LeaseTimeout)
-		defer lease.Stop()
-		leaseC = lease.C
-	}
 	for {
 		select {
 		case <-a.stop:
@@ -254,20 +241,7 @@ func (a *Agent) Run() {
 			if !ok {
 				return
 			}
-			if a.handle(msg) && lease != nil {
-				// Any admitted manager message proves the manager alive;
-				// renew the lease.
-				if !lease.Stop() {
-					select {
-					case <-lease.C:
-					default:
-					}
-				}
-				lease.Reset(a.opts.LeaseTimeout)
-			}
-		case <-leaseC:
-			a.ExpireLease()
-			lease.Reset(a.opts.LeaseTimeout)
+			a.handle(msg)
 		}
 	}
 }
@@ -375,10 +349,9 @@ func (a *Agent) sendMsg(msg protocol.Message) {
 	_ = a.ep.Send(msg)
 }
 
-// handle processes one manager message and reports whether it was
-// admitted (fenced stale-epoch traffic is dropped and does not renew the
-// manager's liveness lease).
-func (a *Agent) handle(msg protocol.Message) bool {
+// handle processes one manager message; fenced stale-epoch traffic is
+// dropped.
+func (a *Agent) handle(msg protocol.Message) {
 	if msg.Epoch != 0 {
 		// Epoch fencing: traffic from a superseded manager incarnation is
 		// dropped so a crashed manager's stragglers cannot interleave with
@@ -392,7 +365,7 @@ func (a *Agent) handle(msg protocol.Message) bool {
 			a.tel.Counter("agent.fenced").Inc()
 			a.flightEvent(telemetry.FlightDrop,
 				fmt.Sprintf("fenced %s from stale epoch %d (current %d)", msg.Type, msg.Epoch, cur))
-			return false
+			return
 		}
 		if msg.Epoch > a.epoch {
 			a.epoch = msg.Epoch
@@ -409,13 +382,12 @@ func (a *Agent) handle(msg protocol.Message) bool {
 	case protocol.MsgRollback:
 		a.handleRollback(msg.Step, msg.Trace)
 	case protocol.MsgHeartbeat:
-		// Liveness only; admission alone renews the lease.
+		// Liveness only: fenced like a command, otherwise ignored.
 	case protocol.MsgProbe:
 		a.handleProbe(msg.Step)
 	default:
 		// Agents ignore anything else (e.g. stray replies).
 	}
-	return true
 }
 
 // handleProbe answers a recovering manager's state probe with this agent's
@@ -456,9 +428,9 @@ func (a *Agent) handleProbe(step protocol.Step) {
 //   - From the first resume on, the step runs to completion anyway (the
 //     resume path is synchronous), so there is nothing to recover.
 //
-// The agent's lease monitor calls this from the run goroutine; tests and
-// the deterministic explorer call it directly (never concurrently with
-// Run).
+// Nothing arms a lease timer: tests call this directly and the
+// deterministic explorer drives it as a scheduling choice, never
+// concurrently with Run.
 func (a *Agent) ExpireLease() {
 	a.mu.Lock()
 	state := a.state

@@ -24,6 +24,7 @@ type fakeProc struct {
 	inActionErr error
 	resumeErrs  int // fail Resume this many times
 	postErr     error
+	posted      chan struct{} // when set, receives once per PostAction
 	applied     [][]action.Op
 	rolledBack  int
 }
@@ -86,6 +87,9 @@ func (f *fakeProc) Resume(protocol.Step) error {
 
 func (f *fakeProc) PostAction(protocol.Step, []action.Op) error {
 	f.record("post")
+	if f.posted != nil {
+		f.posted <- struct{}{}
+	}
 	return f.postErr
 }
 
@@ -190,7 +194,7 @@ func multiStep() protocol.Step {
 // including the single-process shortcut: the agent resumes directly from
 // adapted without waiting for a resume message.
 func TestAgentStateDiagramSingleProcess(t *testing.T) {
-	proc := &fakeProc{}
+	proc := &fakeProc{posted: make(chan struct{}, 1)}
 	h := newHarness(t, proc)
 
 	h.send(t, protocol.MsgReset, singleStep())
@@ -212,7 +216,12 @@ func TestAgentStateDiagramSingleProcess(t *testing.T) {
 		}
 	}
 	// Hook order per Fig. 1: pre-action, reset, in-action, resume,
-	// post-action.
+	// post-action. The post-action runs after "resume done" is sent.
+	select {
+	case <-proc.posted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("post-action never ran")
+	}
 	want := []string{"pre", "reset", "in", "resume", "post"}
 	got := proc.Calls()
 	if len(got) != len(want) {

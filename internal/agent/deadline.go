@@ -8,16 +8,17 @@ import (
 	"repro/internal/protocol"
 )
 
-// reset runs the process' Reset under the agent's one reset timer, made on
-// first use, re-armed for every reset and stopped when Reset returns. The
-// reset's only allocation is its context, ended with Canceled once Reset
-// has returned, so a context kept past Reset reads as cancelled.
+// reset runs the process' Reset under the agent's one reset timer, armed on
+// the agent's clock on first use, re-armed for every reset and stopped when
+// Reset returns. The reset's only allocation is its context, ended with
+// Canceled once Reset has returned, so a context kept past Reset reads as
+// cancelled.
 func (a *Agent) reset(step protocol.Step) error {
 	c := &resetCtx{deadline: a.opts.Clock.Now().Add(a.opts.ResetTimeout)}
 	c.fns = c.slots[:0]
 	a.mu.Lock()
 	if a.rtimer == nil {
-		a.rtimer = time.AfterFunc(a.opts.ResetTimeout, a.resetExpired)
+		a.rtimer = a.opts.Clock.AfterFunc(a.opts.ResetTimeout, a.resetExpired)
 	} else {
 		a.rtimer.Reset(a.opts.ResetTimeout)
 	}

@@ -8,7 +8,8 @@ import (
 
 // DeterminismAnalyzer enforces the replayability contract of the
 // protocol's deterministic core: the packages the explorer model-checks
-// (and replays by seed) must not read the wall clock, draw from the
+// (and replays by seed) must not read the wall clock, arm a wall-clock
+// timer, draw from the
 // process-global PRNG, or let Go's randomized map iteration order decide
 // the order of sends or other order-sensitive effects.
 //
@@ -22,7 +23,8 @@ import (
 // //safeadaptvet:allow annotations.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc: "forbid wall-clock reads (time.Now/time.Since), global-PRNG draws " +
+	Doc: "forbid wall-clock reads (time.Now/time.Since) and timers " +
+		"(time.AfterFunc), global-PRNG draws " +
 		"(package-level math/rand), and map-iteration order feeding sends or " +
 		"other order-sensitive effects inside the deterministic packages; " +
 		"time and randomness must come from the injected Clock/PRNG",
@@ -64,6 +66,8 @@ func runDeterminism(pass *Pass) error {
 				pass.Reportf(n.Pos(), "wall-clock read (time.Now) in a deterministic package; use the injected Clock")
 			case isFunc(fn, "time", "Since"):
 				pass.Reportf(n.Pos(), "wall-clock read (time.Since) in a deterministic package; use the injected Clock and Sub")
+			case isFunc(fn, "time", "AfterFunc"):
+				pass.Reportf(n.Pos(), "wall-clock timer (time.AfterFunc) in a deterministic package; use the injected Clock's AfterFunc")
 			case fn != nil && fn.Pkg() != nil && isGlobalRandFunc(fn):
 				pass.Reportf(n.Pos(), "global math/rand PRNG (%s.%s) in a deterministic package; use a seeded *rand.Rand", fn.Pkg().Name(), fn.Name())
 			}

@@ -12,6 +12,7 @@ import (
 // Clock is the injected time source the deterministic packages must use.
 type Clock interface {
 	Now() time.Time
+	AfterFunc(d time.Duration, f func()) *time.Timer
 }
 
 func wallClock(clk Clock) time.Duration {
@@ -19,6 +20,11 @@ func wallClock(clk Clock) time.Duration {
 	_ = time.Since(start) // want "wall-clock read \\(time.Since\\)"
 	good := clk.Now()
 	return clk.Now().Sub(good)
+}
+
+func wallTimer(clk Clock, f func()) {
+	time.AfterFunc(time.Second, f) // want "wall-clock timer \\(time.AfterFunc\\)"
+	clk.AfterFunc(time.Second, f)
 }
 
 func globalPRNG(seeded *rand.Rand) int {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"time"
 
 	"repro/internal/journal"
 	"repro/internal/manager"
@@ -272,12 +271,6 @@ func (e *execution) newManagerOver(jrn journal.Journal, epoch uint64) (*manager.
 		Clock:         e.clock,
 		Journal:       jrn,
 		Epoch:         epoch,
-		// Retry backoff advances the logical clock instead of sleeping, so
-		// fault schedules with retries stay fast and deterministic.
-		Sleep: func(_ context.Context, d time.Duration) error {
-			e.clock.Advance(d)
-			return nil
-		},
 	})
 }
 

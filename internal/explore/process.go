@@ -23,8 +23,9 @@ type vproc struct {
 	// bystander marks a process the current step has no operation for; it
 	// is not blocked (the rule adapters.SocketProcess ships).
 	bystander bool
-	// failNextReset makes the next Reset fail (injected fail-to-reset).
-	failNextReset bool
+	// stuck makes the next Reset never reach the safe state: the agent's
+	// own reset deadline ends it (injected fail-to-reset).
+	stuck bool
 }
 
 func (p *vproc) PreAction(_ protocol.Step, ops []action.Op) error {
@@ -36,11 +37,13 @@ func (p *vproc) PreAction(_ protocol.Step, ops []action.Op) error {
 // its share of the global safe condition — drains every packet already
 // in flight toward it while its pre-step decoders still run. A bystander
 // drains too and goes on emitting. The DisableDrain mutation hook skips
-// the drain, which must make the explorer catch a cut CCS.
-func (p *vproc) Reset(_ context.Context, protoStep protocol.Step) error {
-	if p.failNextReset {
-		p.failNextReset = false
-		return fmt.Errorf("injected fail-to-reset at %s", p.name)
+// the drain, which must make the explorer catch a cut CCS. A stuck process
+// waits its agent's ResetTimeout on the virtual clock instead, and returns
+// what the agent's timer ended the reset with.
+func (p *vproc) Reset(ctx context.Context, protoStep protocol.Step) error {
+	if p.stuck {
+		p.stuck = false
+		return p.e.clock.Sleep(ctx, p.e.x.opts.StepTimeout)
 	}
 	p.blocked = !p.bystander
 	p.e.logf("%s in safe state (step %s, blocked: %v)", p.name, protoStep.ActionID, p.blocked)

@@ -38,7 +38,7 @@ const (
 	chEmit                         // a sender emits one packet per outgoing flow
 	chTimeout                      // fault: the manager's current wait times out
 	chDrop                         // fault: drop a pending protocol message
-	chFailReset                    // fault: deliver a reset that fails to quiesce
+	chFailReset                    // fault: deliver a reset that never quiesces
 	chCrash                        // fault: crash an agent instead of delivering
 )
 
@@ -527,7 +527,7 @@ func (e *execution) Recv(ctx context.Context, deadline time.Time) (protocol.Mess
 		case chFailReset:
 			w := e.takePending(c.from, c.to)
 			e.faultsLeft--
-			e.procs[c.to].failNextReset = true
+			e.procs[c.to].stuck = true
 			e.logf("fault: %s fails to reset", c.to)
 			e.net.Deliver(w)
 		case chCrash:

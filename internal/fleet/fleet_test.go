@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/protocol"
+	"repro/internal/simnet"
 )
 
 func agentNames(n int) []string {
@@ -137,18 +138,13 @@ func newTestCoordinator(t *testing.T) (*Coordinator, *stubEP, *stubEP) {
 	return c, up, down
 }
 
-// fakeClock is a settable transport.Clock for the watchdog tests.
-type fakeClock struct{ now time.Time }
-
-func (c *fakeClock) Now() time.Time { return c.now }
-
 // TestCoordinatorRootLeaseWatchdog: a coordinator whose parent goes
 // silent past the lease horizon parks its shard — pending aggregation
 // buckets are dropped so late acks forward raw instead of completing a
 // dead root's barriers — and the next parent message (a successor's
 // probe, say) un-parks it.
 func TestCoordinatorRootLeaseWatchdog(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(100, 0)}
+	clk := simnet.NewManualClock(time.Unix(100, 0))
 	up := &stubEP{name: "c0"}
 	down := &stubEP{name: "c0"}
 	c, err := NewCoordinator(Options{
@@ -166,13 +162,13 @@ func TestCoordinatorRootLeaseWatchdog(t *testing.T) {
 	}
 
 	// Inside the horizon: not parked.
-	clk.now = clk.now.Add(400 * time.Millisecond)
+	clk.Advance(400 * time.Millisecond)
 	if c.CheckLease() || c.Parked() {
 		t.Fatal("parked before the lease horizon")
 	}
 
 	// Past the horizon: parked, buckets gone.
-	clk.now = clk.now.Add(200 * time.Millisecond)
+	clk.Advance(200 * time.Millisecond)
 	if !c.CheckLease() || !c.Parked() {
 		t.Fatal("lease horizon passed but the shard did not park")
 	}
@@ -194,7 +190,7 @@ func TestCoordinatorRootLeaseWatchdog(t *testing.T) {
 	}
 
 	// And the lease is renewed from that message, not the old timestamp.
-	clk.now = clk.now.Add(400 * time.Millisecond)
+	clk.Advance(400 * time.Millisecond)
 	if c.CheckLease() {
 		t.Fatal("renewed lease expired too early")
 	}

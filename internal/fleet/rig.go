@@ -145,9 +145,6 @@ func (r *Rig) AgentEndpoint(name string) *transport.MuxEndpoint {
 	return r.agentEPs[name]
 }
 
-// Coordinators returns the running coordinators, leaves first.
-func (r *Rig) Coordinators() []*Coordinator { return r.coords }
-
 // Close tears the plane down: coordinators, clients, hubs, root.
 func (r *Rig) Close() {
 	for _, c := range r.coords {

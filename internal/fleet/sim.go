@@ -599,10 +599,6 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	mgr, merr := manager.New(root, pl, manager.Options{
 		StepTimeout: 30 * time.Second, // virtual
 		Clock:       s.clock,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			s.clock.Advance(d)
-			return ctx.Err()
-		},
 		Journal:     journal.NewMem(),
 		ResetPhases: func(action.Action, []string) [][]string { return allPhases },
 		MaxStash:    maxStash,

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/protocol"
+	"repro/internal/simnet"
 	"repro/internal/telemetry"
 )
 
@@ -21,11 +22,6 @@ func (c *capEndpoint) Name() string                    { return c.name }
 func (c *capEndpoint) Send(msg protocol.Message) error { c.sent = append(c.sent, msg); return nil }
 func (c *capEndpoint) Inbox() <-chan protocol.Message  { return nil }
 func (c *capEndpoint) Close() error                    { return nil }
-
-// fakeClock is a manually advanced clock.
-type fakeClock struct{ t time.Time }
-
-func (f *fakeClock) Now() time.Time { return f.t }
 
 func TestEmitterSendsIntervalDeltas(t *testing.T) {
 	reg := telemetry.NewRegistry()
@@ -182,7 +178,7 @@ func TestShardRollupEvictsOldestPartial(t *testing.T) {
 	}
 }
 
-func newTestState(t *testing.T, clk *fakeClock) *FleetState {
+func newTestState(t *testing.T, clk *simnet.ManualClock) *FleetState {
 	t.Helper()
 	s, err := NewFleetState(StateOptions{
 		Clock: clk,
@@ -199,7 +195,7 @@ func newTestState(t *testing.T, clk *fakeClock) *FleetState {
 }
 
 func TestFleetStateHealthFromReportFreshness(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := simnet.NewManualClock(time.Unix(1000, 0))
 	s := newTestState(t, clk)
 
 	v := s.View()
@@ -227,11 +223,11 @@ func TestFleetStateHealthFromReportFreshness(t *testing.T) {
 	}
 
 	// Freshness decay: stale → degraded → parked.
-	clk.t = clk.t.Add(400 * time.Millisecond)
+	clk.Advance(400 * time.Millisecond)
 	if v := s.View(); v.Shards[0].Health != HealthDegraded {
 		t.Fatalf("stale shard should degrade: %+v", v.Shards[0])
 	}
-	clk.t = clk.t.Add(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	if v := s.View(); v.Shards[0].Health != HealthParked {
 		t.Fatalf("silent shard should park: %+v", v.Shards[0])
 	}
@@ -247,7 +243,7 @@ func TestFleetStateHealthFromReportFreshness(t *testing.T) {
 }
 
 func TestFleetStateEpochFencing(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := simnet.NewManualClock(time.Unix(1000, 0))
 	s := newTestState(t, clk)
 
 	fresh := report("shard-a", 0, []string{"a1"}, 1)
@@ -270,7 +266,7 @@ func TestFleetStateEpochFencing(t *testing.T) {
 }
 
 func TestFleetStateWaveFrontier(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := simnet.NewManualClock(time.Unix(1000, 0))
 	s := newTestState(t, clk)
 	step := protocol.Step{PathIndex: 0, Attempt: 0, ActionID: "A1"}
 	agents := []string{"a1", "a2", "b1", "b2"}
@@ -287,7 +283,7 @@ func TestFleetStateWaveFrontier(t *testing.T) {
 	}
 
 	// Aggregated ack from shard-a's coordinator clears its slice.
-	clk.t = clk.t.Add(30 * time.Millisecond)
+	clk.Advance(30 * time.Millisecond)
 	s.WaveAcked(step, protocol.MsgResetDone, "shard-a", []string{"a1", "a2"})
 	v = s.View()
 	w := v.Waves[0]
@@ -333,7 +329,7 @@ func TestFleetStateWaveFrontier(t *testing.T) {
 }
 
 func TestFleetStateStragglerDetection(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := simnet.NewManualClock(time.Unix(1000, 0))
 	s := newTestState(t, clk)
 	agents := []string{"a1", "a2", "b1", "b2"}
 
@@ -341,7 +337,7 @@ func TestFleetStateStragglerDetection(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		step := protocol.Step{PathIndex: i, Attempt: 0}
 		s.WaveSent(step, protocol.MsgResume, agents)
-		clk.t = clk.t.Add(10 * time.Millisecond)
+		clk.Advance(10 * time.Millisecond)
 		s.WaveAcked(step, protocol.MsgResumeDone, "shard-a", []string{"a1", "a2"})
 		s.WaveAcked(step, protocol.MsgResumeDone, "shard-b", []string{"b1", "b2"})
 	}
@@ -349,9 +345,9 @@ func TestFleetStateStragglerDetection(t *testing.T) {
 	// Wave 5: shard-a acks fast, shard-b hangs past its p99 baseline.
 	step := protocol.Step{PathIndex: 5, Attempt: 0}
 	s.WaveSent(step, protocol.MsgResume, agents)
-	clk.t = clk.t.Add(5 * time.Millisecond)
+	clk.Advance(5 * time.Millisecond)
 	s.WaveAcked(step, protocol.MsgResumeDone, "shard-a", []string{"a1", "a2"})
-	clk.t = clk.t.Add(500 * time.Millisecond)
+	clk.Advance(500 * time.Millisecond)
 
 	v := s.View()
 	wave := v.Waves[len(v.Waves)-1]
@@ -375,7 +371,7 @@ func TestFleetStateStragglerDetection(t *testing.T) {
 }
 
 func TestFleetHandlerAndRender(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := simnet.NewManualClock(time.Unix(1000, 0))
 	s := newTestState(t, clk)
 	s.Absorb(report("shard-a", 3, []string{"a1", "a2"}, 9))
 	s.WaveSent(protocol.Step{ActionID: "A2"}, protocol.MsgReset, []string{"a1", "a2", "b1", "b2"})

@@ -209,14 +209,6 @@ func (s *Set) SafeConfigs() []model.Config {
 	return out
 }
 
-// CountSafeConfigs returns the number of safe configurations without
-// materializing them; useful for scalability measurements.
-func (s *Set) CountSafeConfigs() int {
-	// Reuse SafeConfigs' pruning path; the slice cost is acceptable for
-	// benchmarking because the count is what dominates.
-	return len(s.SafeConfigs())
-}
-
 // sortConfigs sorts configurations ascending by numeric value, which
 // corresponds to ascending bit-vector order.
 func sortConfigs(cs []model.Config) {

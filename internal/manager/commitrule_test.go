@@ -12,6 +12,7 @@ import (
 	"repro/internal/paper"
 	"repro/internal/planner"
 	"repro/internal/protocol"
+	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
@@ -127,7 +128,7 @@ func TestCommitRule(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			jr := &syncCounter{Mem: journal.NewMem()}
 			gate := &sendGate{t: t, jr: jr.Mem}
-			opts := manager.Options{Journal: jr, Sleep: func(context.Context, time.Duration) error { return nil }}
+			opts := manager.Options{Journal: jr, Clock: simnet.NewManualClock(time.Unix(0, 0))}
 			if tc.cancel > 0 {
 				opts.StepTimeout = time.Second
 			}

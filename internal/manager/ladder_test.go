@@ -1,10 +1,8 @@
 package manager_test
 
 import (
-	"context"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +14,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/planner"
 	"repro/internal/protocol"
+	"repro/internal/simnet"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -83,18 +82,16 @@ func TestLadderExhaustionOverLossyNetwork(t *testing.T) {
 
 	tel := telemetry.NewRegistry()
 	mem := journal.NewMem()
-	var sleeps atomic.Int64
+	// A manual clock: the jittered backoffs are still decided and
+	// counted, but the test does not wait them out.
+	start := time.Unix(0, 0)
+	clk := simnet.NewManualClock(start)
 	s := newStack(t, plan, manager.Options{
 		StepTimeout: 100 * time.Millisecond,
 		Telemetry:   tel,
 		Journal:     mem,
 		BackoffSeed: 42,
-		// Logical sleep: the jittered backoffs are still decided and
-		// counted, but the test does not wait them out.
-		Sleep: func(ctx context.Context, _ time.Duration) error {
-			sleeps.Add(1)
-			return ctx.Err()
-		},
+		Clock:       clk,
 	})
 	s.bus.SetFault(transport.DropAll(func(m protocol.Message) bool {
 		return m.Type == protocol.MsgResetDone && m.Step.FromVector != srcVec
@@ -158,8 +155,8 @@ func TestLadderExhaustionOverLossyNetwork(t *testing.T) {
 	if got := tel.Counter("manager.backoffs").Value(); got < 3 {
 		t.Errorf("backoffs = %d, want >= 3", got)
 	}
-	if sleeps.Load() == 0 {
-		t.Error("injected sleep was never used for backoff")
+	if !clk.Now().After(start) {
+		t.Error("backoff never slept on the manager's clock")
 	}
 
 	// Rollback left every agent running in a consistent configuration.

@@ -156,10 +156,10 @@ type Options struct {
 	// cost.
 	Telemetry *telemetry.Registry
 	// Clock supplies the timestamps recorded in the transition trace and
-	// step reports, and the deadlines of protocol waits on SyncEndpoint
-	// transports. Nil means the wall clock. The deterministic explorer
-	// injects a logical clock so identical schedules yield identical
-	// traces.
+	// step reports, the deadlines of protocol waits on SyncEndpoint
+	// transports, and retry backoff. Nil means the wall clock. The
+	// deterministic explorer injects a logical clock so identical
+	// schedules yield identical traces and a backoff waits on nothing.
 	Clock transport.Clock
 	// Journal, when non-nil, receives the write-ahead log of every manager
 	// decision (plan, step begin, acks, point of no return, rollback). The
@@ -173,20 +173,9 @@ type Options struct {
 	// inserted before each same-step retry and between resume retry
 	// rounds. Zero means 50ms.
 	RetryBackoff time.Duration
-	// Sleep, when non-nil, replaces the real timer-based sleep used for
-	// retry backoff — tests and the deterministic explorer inject a
-	// logical sleep so retries stay fast and schedules reproducible. It
-	// must return ctx.Err() if ctx is done before the duration elapses.
-	Sleep func(ctx context.Context, d time.Duration) error
 	// BackoffSeed seeds the jitter PRNG; the default (0) yields a fixed
 	// deterministic jitter sequence per manager.
 	BackoffSeed int64
-	// HeartbeatInterval, when positive, has the manager send MsgHeartbeat
-	// to every participant of the step in flight at this period, renewing
-	// the agents' liveness leases while long waves are in progress. Only
-	// effective on asynchronous (non-SyncEndpoint) transports; the
-	// explorer models lease expiry as an explicit scheduling choice.
-	HeartbeatInterval time.Duration
 	// ProbeRetries bounds how many probe rounds Recover sends before
 	// giving up on an unreachable agent. Zero means 3.
 	ProbeRetries int
@@ -418,20 +407,10 @@ func (m *Manager) backoff(ctx context.Context, try int) error {
 	d := base/2 + time.Duration(m.rng.Int63n(int64(base)))
 	m.tel.Counter("manager.backoffs").Inc()
 	m.logf("backing off %v before retry %d", d, try)
-	if m.opts.Sleep != nil {
-		return m.opts.Sleep(ctx, d)
-	}
-	t := m.timer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	return m.opts.Clock.Sleep(ctx, d)
 }
 
-// timer arms the manager's one timer for d. Its users (await, backoff,
+// timer arms the manager's one timer for d. Its users (await,
 // collectProbes) run one at a time on the Execute goroutine and stop it
 // when they return.
 func (m *Manager) timer(d time.Duration) *time.Timer {

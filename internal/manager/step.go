@@ -115,10 +115,6 @@ func (m *Manager) executeStep(ctx context.Context, parent *telemetry.Span, step 
 		return rep, jerr
 	}
 
-	// Keep the participants' liveness leases warm while the waves run.
-	stopHeartbeats := m.startHeartbeats(participants, pstep)
-	defer stopHeartbeats()
-
 	fail := func(why string) (StepReport, error) {
 		m.tel.Counter("manager.step.rollbacks").Inc()
 		// The rollback decision is committed BEFORE the first rollback
@@ -348,46 +344,6 @@ func (m *Manager) journalAcks(wave string, order []string, got map[string]bool, 
 		}
 	}
 	return nil
-}
-
-// startHeartbeats begins the liveness-lease pump: MsgHeartbeat to every
-// participant at the configured interval until the returned stop function
-// is called. A zero interval, or a scheduler-mediated transport (the
-// deterministic explorer owns time there), disables it.
-func (m *Manager) startHeartbeats(participants []string, step protocol.Step) func() {
-	if m.opts.HeartbeatInterval <= 0 {
-		return func() {}
-	}
-	if _, ok := m.ep.(transport.SyncEndpoint); ok {
-		return func() {}
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go m.heartbeat(participants, step, stop, done)
-	return func() {
-		close(stop)
-		<-done
-	}
-}
-
-// heartbeat is startHeartbeats' pump. It is a function of its own so that
-// its arguments move to the heap only when heartbeats start.
-func (m *Manager) heartbeat(participants []string, step protocol.Step, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	t := time.NewTicker(m.opts.HeartbeatInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			hb := make([]protocol.Message, 0, len(participants))
-			for _, p := range participants {
-				hb = append(hb, protocol.Message{Type: protocol.MsgHeartbeat, To: p, Step: step})
-			}
-			_ = m.sendWave(hb, nil)
-		}
-	}
 }
 
 // await waits until every process in `from` has sent a message of type

@@ -16,9 +16,6 @@ import (
 // local safe state.
 var ErrNotBlocked = errors.New("metasocket: socket is not blocked; recomposition requires the local safe state")
 
-// ErrBlockedSend is returned by TrySend when the socket is blocked.
-var ErrBlockedSend = errors.New("metasocket: socket is blocked")
-
 // blocker implements the paper's resetting/blocking handshake shared by
 // both socket directions: processing happens packet-at-a-time inside a
 // critical section; RequestBlock waits for the current packet to finish

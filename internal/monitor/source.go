@@ -41,11 +41,6 @@ func LossRate(sub *netsim.Subscription) func() float64 {
 	}
 }
 
-// GaugeValue returns a Source reading the named telemetry gauge.
-func GaugeValue(reg *telemetry.Registry, name string) func() float64 {
-	return func() float64 { return float64(reg.Gauge(name).Value()) }
-}
-
 // CounterRate returns a Source measuring how much the named counter
 // advanced since the previous tick. Like LossRate, the closure is
 // stateful: one rule per source.

@@ -13,6 +13,7 @@
 package netsim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -27,23 +28,6 @@ import (
 
 // ErrClosed is returned when operating on a closed group or subscription.
 var ErrClosed = errors.New("netsim: closed")
-
-// Clock abstracts time for the simulator: transport.Clock plus Sleep, which
-// delivery goroutines wait on. The default SystemClock uses real time;
-// tests inject a virtual clock so delivery delays advance logical time
-// instead of blocking, making whole runs deterministic.
-type Clock interface {
-	transport.Clock
-	// Sleep blocks until d has elapsed on this clock.
-	Sleep(d time.Duration)
-}
-
-type systemClock struct{ transport.Clock }
-
-func (systemClock) Sleep(d time.Duration) { time.Sleep(d) }
-
-// SystemClock is the wall-clock Clock used when none is injected.
-var SystemClock Clock = systemClock{transport.SystemClock}
 
 // LinkProfile describes delivery characteristics of one subscriber link.
 type LinkProfile struct {
@@ -77,7 +61,7 @@ type Datagram = []byte
 type Group struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
-	clock  Clock
+	clock  transport.Clock
 	subs   map[string]*Subscription
 	order  []*Subscription // insertion order: PRNG draws must not depend on map iteration
 	closed bool
@@ -126,16 +110,16 @@ func (t *groupTelemetry) recordDrop(detail string) {
 // NewGroup creates a multicast group with the given PRNG seed. Identical
 // seeds and send sequences yield identical loss/jitter decisions.
 func NewGroup(seed int64) *Group {
-	return NewGroupWithClock(seed, SystemClock)
+	return NewGroupWithClock(seed, transport.SystemClock)
 }
 
 // NewGroupWithClock creates a multicast group whose delivery timing runs
 // on the given clock. With a virtual clock, identical seeds and send
 // sequences yield bit-identical delivery traces, with no wall-clock
 // sleeps anywhere in the delivery path.
-func NewGroupWithClock(seed int64, clock Clock) *Group {
+func NewGroupWithClock(seed int64, clock transport.Clock) *Group {
 	if clock == nil {
-		clock = SystemClock
+		clock = transport.SystemClock
 	}
 	g := &Group{
 		rng:   rand.New(rand.NewSource(seed)),
@@ -420,7 +404,7 @@ func (s *Subscription) deliverLoop() {
 
 		clock := s.group.clock
 		if wait := item.deliverAt.Sub(clock.Now()); wait > 0 {
-			clock.Sleep(wait)
+			_ = clock.Sleep(context.Background(), wait)
 		}
 
 		s.mu.Lock()

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 )
 
 func TestMulticastDelivery(t *testing.T) {
@@ -198,8 +200,11 @@ func TestCloseWaitsForInFlight(t *testing.T) {
 }
 
 // virtualClock advances logical time instead of blocking: Sleep jumps
-// the clock forward and returns immediately.
+// the clock forward and returns immediately. It is shared by the delivery
+// goroutines, hence the lock; netsim arms no timers, so the embedded
+// Clock's AfterFunc is never called.
 type virtualClock struct {
+	transport.Clock
 	mu  sync.Mutex
 	now time.Time
 }
@@ -210,10 +215,11 @@ func (c *virtualClock) Now() time.Time {
 	return c.now
 }
 
-func (c *virtualClock) Sleep(d time.Duration) {
+func (c *virtualClock) Sleep(_ context.Context, d time.Duration) error {
 	c.mu.Lock()
 	c.now = c.now.Add(d)
 	c.mu.Unlock()
+	return nil
 }
 
 // runSeededTrace drives one full group lifetime on a virtual clock and
@@ -324,9 +330,10 @@ func TestSameSeedIdenticalWithTracing(t *testing.T) {
 // gateClock is a virtual clock that moves only when the test says so:
 // Sleep blocks until Advance has carried the clock past the wake-up time.
 type gateClock struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	now  time.Time
+	transport.Clock // AfterFunc: never called
+	mu              sync.Mutex
+	cond            *sync.Cond
+	now             time.Time
 }
 
 func newGateClock() *gateClock {
@@ -341,12 +348,13 @@ func (c *gateClock) Now() time.Time {
 	return c.now
 }
 
-func (c *gateClock) Sleep(d time.Duration) {
+func (c *gateClock) Sleep(_ context.Context, d time.Duration) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for until := c.now.Add(d); c.now.Before(until); {
 		c.cond.Wait()
 	}
+	return nil
 }
 
 func (c *gateClock) Advance(d time.Duration) {

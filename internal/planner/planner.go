@@ -40,8 +40,7 @@ type Planner struct {
 	safe  []model.Config
 	graph *sag.Graph
 
-	// now supplies the timestamps feeding the latency histograms; tests
-	// swap in a virtual clock through SetNow to keep runs replayable.
+	// now supplies the timestamps feeding the latency histograms.
 	now func() time.Time
 }
 
@@ -75,15 +74,6 @@ func New(invs *invariant.Set, actions []action.Action) (*Planner, error) {
 	}
 	copy(p.actions, actions)
 	return p, nil
-}
-
-// SetNow replaces the planner's clock. Nil restores the wall clock.
-func (p *Planner) SetNow(now func() time.Time) {
-	if now == nil {
-		//safeadaptvet:allow determinism -- restoring the wall-clock default of the injectable seam
-		now = time.Now
-	}
-	p.now = now
 }
 
 // Registry returns the component registry.

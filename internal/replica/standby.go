@@ -33,8 +33,6 @@ type StandbyOptions struct {
 	// LeaseTTL is the takeover horizon used until the first frame from
 	// the leader announces the authoritative one. Zero means 1s.
 	LeaseTTL time.Duration
-	// Clock supplies the lease timestamps. Nil means the wall clock.
-	Clock transport.Clock
 	// Telemetry receives standby metrics (nil-safe).
 	Telemetry *telemetry.Registry
 	// Logf, when non-nil, receives progress lines.
@@ -75,9 +73,6 @@ func ConnectStandby(addr string, opts StandbyOptions) (*Standby, error) {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = time.Second
 	}
-	if opts.Clock == nil {
-		opts.Clock = transport.SystemClock
-	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("replica: dial leader: %w", err)
@@ -112,7 +107,7 @@ func ConnectStandby(addr string, opts StandbyOptions) (*Standby, error) {
 	if ms := snap.TTLMillis; ms > 0 {
 		s.ttl = time.Duration(ms) * time.Millisecond
 	}
-	s.lastFrame = opts.Clock.Now()
+	s.lastFrame = transport.SystemClock.Now()
 	if err := s.absorb(snap.Recs); err != nil {
 		_ = conn.Close()
 		return nil, err
@@ -171,7 +166,7 @@ func (s *Standby) run() {
 			return
 		}
 		s.mu.Lock()
-		s.lastFrame = s.opts.Clock.Now()
+		s.lastFrame = transport.SystemClock.Now()
 		if ms := f.TTLMillis; ms > 0 {
 			s.ttl = time.Duration(ms) * time.Millisecond
 		}
@@ -218,7 +213,7 @@ func (s *Standby) watchLease() {
 		s.mu.Lock()
 		ttl := s.ttl
 		deadline := s.lastFrame.Add(ttl)
-		now := s.opts.Clock.Now()
+		now := transport.SystemClock.Now()
 		expired := now.After(deadline) && !s.detached && !s.closed
 		stop := s.detached || s.closed
 		if expired {
@@ -334,16 +329,13 @@ func (s *Standby) Promote(ep transport.Endpoint, plan *planner.Planner, opts man
 	st := s.applier.State()
 	opts.Journal = s.opts.Journal
 	opts.Epoch = st.LastEpoch + uint64(s.opts.Rank)
-	if opts.Clock == nil {
-		opts.Clock = s.opts.Clock
-	}
 	mgr, err := manager.New(ep, plan, opts)
 	if err != nil {
 		return nil, journal.State{}, fmt.Errorf("replica: promote: %w", err)
 	}
 	s.tel.Counter("replica.takeovers").Inc()
 	if !lostAt.IsZero() {
-		s.tel.Histogram("replica.takeover.latency").Observe(s.opts.Clock.Now().Sub(lostAt))
+		s.tel.Histogram("replica.takeover.latency").Observe(transport.SystemClock.Now().Sub(lostAt))
 	}
 	s.logf("replica: standby %q promoted under epoch %d (state at seq %d)", s.opts.Name, opts.Epoch, s.applier.LastSeq())
 	return mgr, st, nil

@@ -193,8 +193,6 @@ type LeaderOptions struct {
 	// AckTimeout bounds how long one commit waits for one standby's ack
 	// before detaching it. Zero means 2s.
 	AckTimeout time.Duration
-	// Clock supplies timestamps (telemetry only). Nil means the wall clock.
-	Clock transport.Clock
 	// Telemetry receives the replication metrics. Nil disables.
 	Telemetry *telemetry.Registry
 	// Logf, when non-nil, receives progress lines.
@@ -223,9 +221,6 @@ func Serve(tee *Tee, addr string, opts LeaderOptions) (*Leader, error) {
 	}
 	if opts.AckTimeout <= 0 {
 		opts.AckTimeout = 2 * time.Second
-	}
-	if opts.Clock == nil {
-		opts.Clock = transport.SystemClock
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -312,7 +307,6 @@ func (l *Leader) serveConn(conn net.Conn) {
 		ttl:     l.opts.LeaseTTL,
 		acks:    make(chan frame, 16),
 		tel:     l.opts.Telemetry,
-		clock:   l.opts.Clock,
 	}
 	// Attach delivers the snapshot under the Tee's lock, so no committed
 	// batch can race ahead of (or slip between) snapshot and attachment.
@@ -374,7 +368,6 @@ type tcpSink struct {
 	ttl     time.Duration
 	acks    chan frame
 	tel     *telemetry.Registry
-	clock   transport.Clock
 
 	// Commit's own, under the Tee's lock.
 	batch    uint64
@@ -391,7 +384,7 @@ func (s *tcpSink) write(f frame) error {
 // size feeds the lag gauge while the ack is outstanding.
 func (s *tcpSink) Commit(recs []journal.Record) error {
 	s.batch++
-	start := s.clock.Now()
+	start := transport.SystemClock.Now()
 	n, err := s.out.write(frame{Type: frameRecords, Recs: recs, Batch: s.batch, TTLMillis: s.ttl.Milliseconds()})
 	if err != nil {
 		return fmt.Errorf("replica: standby %q: %w", s.name, err)
@@ -406,7 +399,7 @@ func (s *tcpSink) Commit(recs []journal.Record) error {
 				continue // ack for an older batch; keep waiting
 			}
 			s.tel.Gauge("replica.lag_bytes").Set(0)
-			s.tel.Histogram("replica.commit.latency").Observe(s.clock.Now().Sub(start))
+			s.tel.Histogram("replica.commit.latency").Observe(transport.SystemClock.Now().Sub(start))
 			return nil
 		case <-s.deadline.C:
 			return fmt.Errorf("replica: standby %q missed ack deadline %v", s.name, s.timeout)

@@ -20,25 +20,6 @@ import (
 	"repro/internal/transport"
 )
 
-// ManualClock is a transport.Clock that moves only when told to.
-type ManualClock struct{ now time.Time }
-
-// NewManualClock returns a clock reading start.
-func NewManualClock(start time.Time) *ManualClock { return &ManualClock{now: start} }
-
-// Now returns the clock's current reading.
-func (c *ManualClock) Now() time.Time { return c.now }
-
-// Advance moves the clock forward by d.
-func (c *ManualClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
-
-// AdvanceTo moves the clock to t; a t in the past leaves it alone.
-func (c *ManualClock) AdvanceTo(t time.Time) {
-	if t.After(c.now) {
-		c.now = t
-	}
-}
-
 // Frame is one protocol message on one virtual link. From and To are the
 // link's ends — the hop — which in a coordinator tree differ from the
 // message's own From and To: an agent's ack addressed to the manager first

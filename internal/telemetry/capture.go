@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"sort"
-	"time"
 )
 
 // Capture support: the stable snapshot-for-capture API behind
@@ -114,14 +113,4 @@ func (r *Registry) captureFlushNow(reason string) {
 	if p := r.captureFlush.Load(); p != nil {
 		(*p)(reason)
 	}
-}
-
-// CaptureUptime returns the registry's age — the capture loop records it
-// so decoded captures can align samples with span offsets (which are
-// monotonic offsets from the same epoch). Zero on a nil registry.
-func (r *Registry) CaptureUptime() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return time.Since(r.epoch)
 }

@@ -384,16 +384,6 @@ func (d Digest) SortedCounterNames() []string {
 	return names
 }
 
-// SortedGaugeNames returns the digest's gauge names in ascending order.
-func (d Digest) SortedGaugeNames() []string {
-	names := make([]string, 0, len(d.Gauges))
-	for k := range d.Gauges {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // SortedSketchNames returns the digest's sketch names in ascending order.
 func (d Digest) SortedSketchNames() []string {
 	names := make([]string, 0, len(d.Sketches))

@@ -23,7 +23,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Rule is one response obligation: every Trigger event must eventually be
@@ -79,21 +78,6 @@ type Monitor struct {
 	waiters []chan struct{}
 
 	observed uint64
-
-	// now supplies timestamps for SafetyPoll's stability window; tests
-	// swap in a virtual clock through SetNow to keep runs replayable.
-	now func() time.Time
-}
-
-// SetNow replaces the monitor's clock. Nil restores the wall clock.
-func (m *Monitor) SetNow(now func() time.Time) {
-	if now == nil {
-		//safeadaptvet:allow determinism -- restoring the wall-clock default of the injectable seam
-		now = time.Now
-	}
-	m.mu.Lock()
-	m.now = now
-	m.mu.Unlock()
 }
 
 // NewMonitor builds a monitor for the given rules.
@@ -106,8 +90,6 @@ func NewMonitor(rules []Rule) (*Monitor, error) {
 		byDischarge: make(map[string][]int),
 		rules:       append([]Rule(nil), rules...),
 		pending:     make([]map[uint64]int, len(rules)),
-		//safeadaptvet:allow determinism -- the single injectable wall-clock seam; SafetyPoll's stability window defaults to real time, tests swap it via SetNow
-		now: time.Now,
 	}
 	for i, r := range rules {
 		if r.Trigger == "" || r.Discharge == "" {
@@ -362,27 +344,4 @@ func CompareTrace(rules []Rule, trace []Event, handSafe []bool) ([]Divergence, e
 		}
 	}
 	return out, nil
-}
-
-// SafetyPoll adapts the monitor to a polling predicate with a stability
-// window: Safe must hold continuously for `window` before the returned
-// function reports true. Useful when events arrive from concurrent
-// goroutines and a momentary zero could race with an in-flight trigger.
-func (m *Monitor) SafetyPoll(window time.Duration) func() bool {
-	var since time.Time
-	var mu sync.Mutex
-	return func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if !m.Safe() {
-			since = time.Time{}
-			return false
-		}
-		now := m.now()
-		if since.IsZero() {
-			since = now
-			return window <= 0
-		}
-		return now.Sub(since) >= window
-	}
 }

@@ -171,27 +171,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestSafetyPollStabilityWindow(t *testing.T) {
-	m := MustMonitor("after recv expect deliver")
-	poll := m.SafetyPoll(40 * time.Millisecond)
-	if poll() {
-		t.Error("first safe observation must start the window, not pass it")
-	}
-	time.Sleep(50 * time.Millisecond)
-	if !poll() {
-		t.Error("stable safe window elapsed")
-	}
-	// Any unsafety resets the window.
-	m.Observe("recv", 1)
-	if poll() {
-		t.Error("unsafe state must fail the poll")
-	}
-	m.Observe("deliver", 1)
-	if poll() {
-		t.Error("window must restart after unsafety")
-	}
-}
-
 func TestConcurrentObserve(t *testing.T) {
 	m := MustMonitor("after recv expect deliver")
 	var wg sync.WaitGroup

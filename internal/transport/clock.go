@@ -7,19 +7,55 @@ import (
 	"repro/internal/protocol"
 )
 
-// Clock abstracts wall-clock reads for components that timestamp protocol
-// traces and compute wait deadlines. Production code uses SystemClock; the
-// deterministic explorer (internal/explore) injects a logical clock so
-// that two runs of the same schedule produce byte-identical traces and no
-// code path ever sleeps on real time.
+// Clock is the one source of time for the control plane: the timestamps of
+// protocol traces, the deadlines of protocol waits, retry backoff and the
+// agent's reset deadline. Production code uses SystemClock; the explorer
+// (internal/explore) and the fleet simulator inject simnet.ManualClock, so
+// two runs of the same schedule produce byte-identical traces and no code
+// path waits on real time.
 type Clock interface {
-	// Now returns the current (possibly logical) time.
+	// Now returns the current (possibly virtual) time.
 	Now() time.Time
+	// Sleep waits until d has passed on this clock, or until ctx ends, in
+	// which case it returns ctx.Err().
+	Sleep(ctx context.Context, d time.Duration) error
+	// AfterFunc calls f once d has passed on this clock, unless the
+	// returned timer is stopped first.
+	AfterFunc(d time.Duration, f func()) Timer
+}
+
+// Timer is a timer armed by Clock.AfterFunc. *time.Timer satisfies it.
+type Timer interface {
+	// Stop prevents the call; it reports false if the call already ran
+	// or the timer was stopped.
+	Stop() bool
+	// Reset re-arms the timer to call again d from now; it reports
+	// whether the timer was armed.
+	Reset(d time.Duration) bool
 }
 
 type systemClock struct{}
 
 func (systemClock) Now() time.Time { return time.Now() }
+
+// Sleep is time.Sleep when ctx can never end, so a wait per datagram
+// allocates nothing; otherwise it races a timer against ctx.
+func (systemClock) Sleep(ctx context.Context, d time.Duration) error {
+	if ctx.Done() == nil {
+		time.Sleep(d)
+		return nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
+}
+
+func (systemClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 
 // SystemClock is the wall clock. It is the default everywhere a Clock can
 // be injected.

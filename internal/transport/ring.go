@@ -35,13 +35,6 @@ func (r *AddrRing) Set(addrs ...string) {
 	r.next = 0
 }
 
-// Addrs returns a copy of the current candidate set.
-func (r *AddrRing) Addrs() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.addrs...)
-}
-
 // Next returns the next candidate address, advancing the ring. It is the
 // function to pass as the addr parameter of DialReconnectingTCP / DialMux
 // (pass r.Next itself). An empty ring returns "", which fails the dial

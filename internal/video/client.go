@@ -1,7 +1,6 @@
 package video
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
@@ -190,16 +189,6 @@ type Client struct {
 	name   string
 	sock   *metasocket.RecvSocket
 	player *Player
-}
-
-// NewClient wires a receive socket to a fresh player. The socket must
-// have been created with the player's Deliver as its sink; use BuildClient
-// for the common construction.
-func NewClient(name string, sock *metasocket.RecvSocket, player *Player) (*Client, error) {
-	if sock == nil || player == nil {
-		return nil, fmt.Errorf("video: nil socket or player")
-	}
-	return &Client{name: name, sock: sock, player: player}, nil
 }
 
 // BuildClient constructs a player and its receive socket with the given
