@@ -2,9 +2,9 @@
 // process, so the paper's deployment can be spread across real process
 // boundaries: a manager process, a video-server process, and one process
 // per client, with the stream on UDP and the coordination protocol on
-// TCP. cmd/videodemo runs everything in one process; this binary is the
-// fully distributed variant (see the integration test in this package,
-// which spawns all four).
+// TCP. TestDeploymentOverTCPWithVideo (internal/core) runs everything in
+// one process; this binary is the fully distributed variant (see the
+// integration test in this package, which spawns all four).
 //
 // Roles:
 //

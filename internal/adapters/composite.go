@@ -28,8 +28,7 @@ var _ agent.LocalProcess = (*CompositeProcess)(nil)
 // Part declares one socket of a composite process and the components it
 // hosts.
 type Part struct {
-	// Proc is the socket's adapter (NewSendProcess / NewRecvProcess /
-	// NewMonitoredRecvProcess).
+	// Proc is the socket's adapter (NewSendProcess / NewRecvProcess).
 	Proc *SocketProcess
 	// Components are the adaptive component names living on this socket.
 	Components []string

@@ -37,7 +37,6 @@ var DeterminismAnalyzer = &Analyzer{
 		"repro/internal/manager",
 		"repro/internal/replica",
 		"repro/internal/agent",
-		"repro/internal/tlogic",
 		"repro/internal/planner",
 		"repro/internal/baseline",
 	},

@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
@@ -23,6 +24,17 @@ func TestRepositoryIsClean(t *testing.T) {
 	for _, pkg := range pkgs {
 		for _, d := range analysis.MalformedDirectives(pkg) {
 			t.Errorf("%s", d)
+		}
+	}
+	// A scope entry that names no package checks nothing: a deleted or
+	// renamed package must leave its analyzers' lists too. Matching goes
+	// through AppliesTo, the driver's own rule.
+	for _, a := range analysis.All() {
+		for _, scope := range a.Packages {
+			one := analysis.Analyzer{Packages: []string{scope}}
+			if !slices.ContainsFunc(pkgs, func(p *analysis.Package) bool { return one.AppliesTo(p.Path) }) {
+				t.Errorf("analyzer %s: Packages entry %q names no package of ./...", a.Name, scope)
+			}
 		}
 	}
 	diags, err := analysis.RunAll(analysis.All(), pkgs)

@@ -91,7 +91,7 @@ func TestDeploymentValidation(t *testing.T) {
 
 // TestDeploymentOverTCPWithVideo is the full integration path in one
 // test: real TCP manager↔agent connections, live video traffic, the MAP
-// executed safely. It is the test equivalent of cmd/videodemo.
+// executed safely.
 func TestDeploymentOverTCPWithVideo(t *testing.T) {
 	scenario := paper.MustScenario()
 	plan, err := planner.New(scenario.Invariants, scenario.Actions)

@@ -350,12 +350,12 @@ func (s *sim) Recv(ctx context.Context, deadline time.Time) (protocol.Message, t
 
 // --- scenario ---------------------------------------------------------
 
-// DemoScenario builds the synthetic 5-step adaptation the simulator, the
-// rig test and `videodemo -fleet` all run: five component pairs (Ai, Bi)
-// on one host process, a oneof invariant per pair, and five replace
-// actions — a 5-step MAP from all-A to all-B. The manager's reset-phase
-// policy then conscripts every agent in the fleet into every step, so each
-// wave genuinely spans the whole tree.
+// DemoScenario builds the synthetic 5-step adaptation the simulator and
+// the rig test both run: five component pairs (Ai, Bi) on one host
+// process, a oneof invariant per pair, and five replace actions — a 5-step
+// MAP from all-A to all-B. The manager's reset-phase policy then conscripts
+// every agent in the fleet into every step, so each wave genuinely spans
+// the whole tree.
 func DemoScenario() (*model.Registry, *planner.Planner, model.Config, model.Config, error) {
 	const host = "node-00000"
 	var comps []model.Component
@@ -684,8 +684,8 @@ func percentiles(samples []WaveSample) (p50, p99 time.Duration) {
 }
 
 // NopProcess is a no-op agent LocalProcess for fleets whose agents host
-// no application: the simulator, the rig test and `videodemo -fleet` all
-// measure coordination latency, not application work.
+// no application: the simulator and the rig test both measure
+// coordination latency, not application work.
 type NopProcess struct{}
 
 func (NopProcess) PreAction(protocol.Step, []action.Op) error      { return nil }

@@ -369,43 +369,65 @@ func TestRecompositionRequiresBlocked(t *testing.T) {
 	sock.Unblock()
 }
 
+// TestBlockWaitsForInFlightPacket: a block requested while a packet is
+// mid-chain lands after it, and one requested mid-batch lands after the
+// whole batch (SendBatch is one critical section, so a frame sent as a
+// batch is never split across a recomposition).
 func TestBlockWaitsForInFlightPacket(t *testing.T) {
-	release := make(chan struct{})
-	slow := &slowFilter{release: release, started: make(chan struct{})}
-	sock, err := NewSendSocket(func([]byte) error { return nil }, slow)
-	if err != nil {
-		t.Fatal(err)
+	three := make([]Packet, 3)
+	for i := range three {
+		three[i] = Packet{Index: uint16(i), Count: 3, Payload: []byte("x")}
 	}
-	defer sock.Close()
+	for _, tc := range []struct {
+		name string
+		send func(*SendSocket) error
+		want uint64 // packets transmitted when the block lands
+	}{
+		{"Send", func(s *SendSocket) error { return s.Send(Packet{Payload: []byte("x")}) }, 1},
+		{"SendBatch", func(s *SendSocket) error { return s.SendBatch(three) }, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			release := make(chan struct{})
+			slow := &slowFilter{release: release, started: make(chan struct{})}
+			sock, err := NewSendSocket(func([]byte) error { return nil }, slow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sock.Close()
 
-	sendDone := make(chan error, 1)
-	go func() { sendDone <- sock.Send(Packet{Payload: []byte("x")}) }()
-	<-slow.started
+			sendDone := make(chan error, 1)
+			go func() { sendDone <- tc.send(sock) }()
+			<-slow.started
 
-	// RequestBlock must not return while the packet is mid-chain.
-	blockDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		blockDone <- sock.RequestBlock(ctx)
-	}()
-	select {
-	case err := <-blockDone:
-		t.Fatalf("RequestBlock returned mid-packet: %v", err)
-	case <-time.After(30 * time.Millisecond):
-	}
+			// RequestBlock must not return while the first packet is mid-chain.
+			blockDone := make(chan error, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+				defer cancel()
+				blockDone <- sock.RequestBlock(ctx)
+			}()
+			select {
+			case err := <-blockDone:
+				t.Fatalf("RequestBlock returned mid-packet: %v", err)
+			case <-time.After(30 * time.Millisecond):
+			}
 
-	close(release)
-	if err := <-sendDone; err != nil {
-		t.Fatal(err)
+			close(release)
+			if err := <-blockDone; err != nil {
+				t.Fatal(err)
+			}
+			if got := sock.Sent(); got != tc.want {
+				t.Errorf("block landed after %d packets, want %d", got, tc.want)
+			}
+			if !sock.Blocked() {
+				t.Error("socket should be blocked")
+			}
+			sock.Unblock()
+			if err := <-sendDone; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	if err := <-blockDone; err != nil {
-		t.Fatal(err)
-	}
-	if !sock.Blocked() {
-		t.Error("socket should be blocked")
-	}
-	sock.Unblock()
 }
 
 // slowFilter signals when Process begins and then parks until released,

@@ -101,8 +101,8 @@ func (s *SendSocket) Send(p Packet) error {
 // after the whole batch has been transmitted. Applications use it to
 // coarsen the socket's local safe state from packet boundaries to
 // application-unit boundaries — e.g. a video server sending each frame's
-// fragments as a batch guarantees adaptations never split a frame, which
-// frame-granular safe-state specifications (internal/tlogic) rely on.
+// fragments as a batch guarantees that no recomposition of its own socket
+// splits a frame.
 //
 //safeadaptvet:hotpath
 func (s *SendSocket) SendBatch(ps []Packet) error {

@@ -240,28 +240,6 @@ func (g *Group) Send(d Datagram) error {
 	return nil
 }
 
-// SetLossRate changes the loss probability of one subscriber's link at
-// runtime — the knob closed-loop scenarios turn to degrade and then
-// restore a link mid-run (the paper's testbed equivalent is the handheld
-// walking out of and back into radio range). Takes effect for datagrams
-// sent after the call; datagrams already in flight are unaffected.
-func (g *Group) SetLossRate(name string, rate float64) error {
-	if rate < 0 || rate > 1 {
-		return fmt.Errorf("netsim: loss rate %v outside [0,1]", rate)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return ErrClosed
-	}
-	s, ok := g.subs[name]
-	if !ok {
-		return fmt.Errorf("netsim: unknown subscriber %q", name)
-	}
-	s.profile.LossRate = rate
-	return nil
-}
-
 // Close shuts the group down; in-flight datagrams are delivered by the
 // subscription workers before their channels close.
 func (g *Group) Close() error {

@@ -1,9 +1,9 @@
 // Package planner implements the detection-and-setup phase of the safe
 // adaptation process (paper Sec. 4.2): constructing the safe configuration
 // set, building the safe adaptation graph, and finding minimum adaptation
-// paths — plus replanning for the failure-recovery ladder (Sec. 4.4) and
-// the scalability extensions sketched in Sec. 7 (partial SAG exploration
-// and collaborative-set decomposition).
+// paths — plus the alternative paths of the failure-recovery ladder
+// (Sec. 4.4) and the scalability extensions sketched in Sec. 7 (partial SAG
+// exploration and collaborative-set decomposition).
 package planner
 
 import (
@@ -195,34 +195,6 @@ func (p *Planner) Alternatives(source, target model.Config, k int) ([]sag.Path, 
 	paths, err := g.KShortestPaths(source, target, k)
 	p.tel.Histogram("planner.kshortest.latency").Observe(p.now().Sub(start))
 	return paths, err
-}
-
-// Replan plans from an intermediate configuration (where a failed
-// adaptation left the system) to the target, excluding the adaptation step
-// that just failed so the planner proposes a genuinely different route
-// first. If no route avoids the failed step, the failed step's path is
-// returned anyway (the ladder then retries it or gives up).
-func (p *Planner) Replan(current, target model.Config, failed *sag.Edge) (sag.Path, error) {
-	if failed == nil {
-		return p.Plan(current, target)
-	}
-	paths, err := p.Alternatives(current, target, 8)
-	if err != nil {
-		return sag.Path{}, err
-	}
-	for _, path := range paths {
-		uses := false
-		for _, e := range path.Steps {
-			if e.From == failed.From && e.To == failed.To && e.Action.ID == failed.Action.ID {
-				uses = true
-				break
-			}
-		}
-		if !uses {
-			return path, nil
-		}
-	}
-	return paths[0], nil
 }
 
 func (p *Planner) checkSafe(role string, c model.Config) error {

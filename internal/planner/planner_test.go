@@ -90,32 +90,6 @@ func TestAlternatives(t *testing.T) {
 	}
 }
 
-func TestReplanAvoidsFailedEdge(t *testing.T) {
-	p, src, tgt := paperPlanner(t)
-	first, err := p.Plan(src, tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	failed := first.Steps[0]
-	re, err := p.Replan(src, tgt, &failed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range re.Steps {
-		if e.From == failed.From && e.To == failed.To && e.Action.ID == failed.Action.ID {
-			t.Errorf("replanned path still uses failed step %s", failed.Action.ID)
-		}
-	}
-	// Replanning with no failed edge is just Plan.
-	re2, err := p.Replan(src, tgt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re2.Cost() != first.Cost() {
-		t.Error("Replan(nil) should equal Plan")
-	}
-}
-
 func TestActionByID(t *testing.T) {
 	p, _, _ := paperPlanner(t)
 	a, err := p.ActionByID("A16")
